@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .coloring import (
@@ -26,6 +25,7 @@ from .graphs import (
     Graph,
     Graph6Error,
     enumerate_connected_graphs,
+    enumerate_graphs,
     parse_graph,
     to_graph6,
 )
@@ -48,31 +48,6 @@ from .survey import (
 )
 
 
-@dataclass
-class RunConfig:
-    command: str
-    graph_source: str | None = None
-    k: int | None = None
-    n: int | None = None
-    exact: bool = False
-    cut_vertex: bool = False
-    bound: bool = False
-    witness: str | None = None
-    coloring: str | None = None
-    emit_gadget: str | None = None
-    certificates: str | None = None
-    csv: str | None = None
-    find_f1: bool = False
-    include_n8: bool = False
-    coconnected: bool = False
-    all_graphs: bool = False
-    out: str | None = None
-    jobs: int = 1
-    max_edges: int | None = None
-    max_vertices: int | None = None
-    verbose: bool = False
-
-
 def _load_graph(source: str) -> Graph:
     if os.path.exists(source):
         with open(source) as fh:
@@ -82,139 +57,128 @@ def _load_graph(source: str) -> Graph:
     return parse_graph(text)
 
 
-def _info(config: RunConfig, message: str) -> None:
-    if config.verbose:
+def _info(args: argparse.Namespace, message: str) -> None:
+    if args.verbose:
         print(message, file=sys.stderr)
 
 
-def _cmd_mx(config: RunConfig) -> int:
-    g = _load_graph(config.graph_source)
-    k = config.k
-    if config.exact or k == 2:
-        if not config.exact:
+def _print_with_witness(args: argparse.Namespace, value: int, witness) -> None:
+    """Print the value and write the witness certificate, if one was asked for.
+
+    The certificate text is built first, so a witness that cannot be
+    serialized fails the command before anything is printed or written.
+    """
+    text = write_coloring_certificate(witness) if args.witness and witness is not None else None
+    print(value)
+    if text is not None:
+        with open(args.witness, "w") as fh:
+            fh.write(text)
+        _info(args, f"witness written to {args.witness}")
+
+
+def _cmd_mx(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
+    k = args.k
+    if args.exact or k == 2:
+        if not args.exact:
             raise ValueError("the closed form covers k >= 3 only; pass --exact for k=2")
-        kwargs = {} if config.max_edges is None else {"max_edges": config.max_edges}
+        kwargs = {} if args.max_edges is None else {"max_edges": args.max_edges}
         result = mx_exact_bruteforce(g, k, **kwargs)
         value, witness = result.value, result.witness
     else:
         value = mx_k_formula(g, k)
         witness = construct_extremal_mx(g)
-    print(value)
-    if config.witness:
-        with open(config.witness, "w") as fh:
-            fh.write(write_coloring_certificate(witness))
-        _info(config, f"witness written to {config.witness}")
+    _print_with_witness(args, value, witness)
     return 0
 
 
-def _cmd_mvx(config: RunConfig) -> int:
-    g = _load_graph(config.graph_source)
-    k = config.k
-    if config.bound:
+def _cmd_mvx(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
+    k = args.k
+    if args.bound:
         print(diameter_upper_bound(g))
         return 0
-    if config.cut_vertex:
+    if args.cut_vertex:
         result = mvx_via_cut_vertex(g, k)
     else:
-        kwargs = {} if config.max_vertices is None else {"max_vertices": config.max_vertices}
+        kwargs = {} if args.max_vertices is None else {"max_vertices": args.max_vertices}
         result = mvx_exact(g, k, **kwargs)
-    print(result.value)
-    if config.witness and result.witness is not None:
-        with open(config.witness, "w") as fh:
-            fh.write(write_coloring_certificate(result.witness))
-        _info(config, f"witness written to {config.witness}")
+    _print_with_witness(args, result.value, result.witness)
     return 0
 
 
-def _cmd_reduce(config: RunConfig) -> int:
-    g = _load_graph(config.graph_source)
-    K = config.k
-    answer = decide_ds_via_mvx(g, K)
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
+    answer = decide_ds_via_mvx(g, args.k)
     print("yes" if answer else "no")
     gm = build_gadget(g)
-    if config.emit_gadget:
-        with open(config.emit_gadget, "w") as fh:
+    if args.emit_gadget:
+        with open(args.emit_gadget, "w") as fh:
             fh.write(to_graph6(gm.gadget) + "\n")
-        _info(config, f"gadget written to {config.emit_gadget}")
-    if config.certificates:
+        _info(args, f"gadget written to {args.emit_gadget}")
+    if args.certificates:
         dom = DominationCertificate(minimum_dominating_set(g), "dominating")
         lifted = lift_dominating_set(gm, dom)
-        with open(config.certificates, "w") as fh:
+        with open(args.certificates, "w") as fh:
             fh.write(write_domination_certificates([dom, lifted]))
-        _info(config, f"certificates written to {config.certificates}")
+        _info(args, f"certificates written to {args.certificates}")
     return 0
 
 
-def _cmd_gadget(config: RunConfig) -> int:
-    g = _load_graph(config.graph_source)
+def _cmd_gadget(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
     gm = build_gadget(g)
     print(f"graph6: {to_graph6(gm.gadget)}")
     print(f"x: {gm.x}")
     print(f"y: {gm.y}")
     print("u:", " ".join(str(gm.u_index[i]) for i in range(g.n)))
-    if config.out:
-        with open(config.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(to_graph6(gm.gadget) + "\n")
     return 0
 
 
-def _cmd_survey(config: RunConfig) -> int:
-    if config.find_f1:
+def _cmd_survey(args: argparse.Namespace) -> int:
+    if args.k is not None and not 3 <= args.k <= args.n:
+        raise ValueError(f"--k {args.k} out of range 3..{args.n}")
+    if args.find_f1:
         for g in locate_F1():
             print(to_graph6(g))
         return 0
-    records = survey_bounds(config.n, include_n8=config.include_n8, jobs=config.jobs)
-    if config.k is not None:
-        records = [r for r in records if r.k == config.k]
-    if config.csv:
-        write_survey_csv(records, config.csv)
-        print(f"wrote {len(records)} records to {config.csv}")
+    records = survey_bounds(args.n, include_n8=args.include_n8, jobs=args.jobs)
+    if args.k is not None:
+        records = [r for r in records if r.k == args.k]
+    if args.csv:
+        write_survey_csv(records, args.csv)
+        print(f"wrote {len(records)} records to {args.csv}")
     else:
         sys.stdout.write(survey_csv_text(records))
     failures = sum(1 for r in records if r.verdict == "fail")
     return 1 if failures else 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    with open(config.coloring) as fh:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    with open(args.coloring) as fh:
         cert = parse_coloring_certificate(fh.read())
     if isinstance(cert, EdgeColoring):
-        ok = verify_mx_coloring(cert, config.k)
+        ok = verify_mx_coloring(cert, args.k)
     else:
-        ok = verify_mvx_coloring(cert, config.k)
+        ok = verify_mvx_coloring(cert, args.k)
     print("valid" if ok else "invalid")
     return 0 if ok else 1
 
 
-def _cmd_enumerate(config: RunConfig) -> int:
-    n = config.n
-    if config.coconnected:
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    n = args.n
+    if args.coconnected:
         graphs = enumerate_coconnected(n)
-    elif config.all_graphs:
-        from .graphs import enumerate_graphs
-
+    elif args.all_graphs:
         graphs = enumerate_graphs(n)
     else:
         graphs = enumerate_connected_graphs(n)
     for g in graphs:
         print(to_graph6(g))
     return 0
-
-
-_DISPATCH = {
-    "mx": _cmd_mx,
-    "mvx": _cmd_mvx,
-    "reduce": _cmd_reduce,
-    "gadget": _cmd_gadget,
-    "survey": _cmd_survey,
-    "verify": _cmd_verify,
-    "enumerate": _cmd_enumerate,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit status."""
-    return _DISPATCH[config.command](config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mx", help="edge index of a graph at k")
+    p.set_defaults(func=_cmd_mx)
     p.add_argument("--graph", required=True, help="path or inline graph6")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--exact", action="store_true", help="partition search instead of the closed form")
@@ -234,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("mvx", help="vertex index of a graph at k")
+    p.set_defaults(func=_cmd_mvx)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
@@ -245,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("reduce", help="dominating-set decision through the gadget")
+    p.set_defaults(func=_cmd_reduce)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True, help="dominating-set size threshold K")
     p.add_argument("--emit-gadget", help="write the gadget graph6 here")
@@ -252,10 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("gadget", help="print the reduction gadget and its vertex map")
+    p.set_defaults(func=_cmd_gadget)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", help="also write the gadget graph6 here")
 
     p = sub.add_parser("survey", help="complement-pair bound survey")
+    p.set_defaults(func=_cmd_survey)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="restrict records to one k")
     p.add_argument("--csv", help="write records here instead of stdout")
@@ -265,10 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the index search; output order is unaffected")
 
     p = sub.add_parser("verify", help="check a coloring certificate at k")
+    p.set_defaults(func=_cmd_verify)
     p.add_argument("--coloring", required=True, help="certificate file")
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("enumerate", help="list small graphs as graph6, one per line")
+    p.set_defaults(func=_cmd_enumerate)
     p.add_argument("--n", type=int, required=True)
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--coconnected", action="store_true", help="graph and complement connected")
@@ -276,20 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f: getattr(args, f) for f in vars(args) if f in RunConfig.__dataclass_fields__}
-    config = RunConfig(command=args.command, **{k: v for k, v in fields.items() if k != "command"})
-    if getattr(args, "graph", None) is not None:
-        config.graph_source = args.graph
-    return config
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        return run(config)
+        return args.func(args)
     except (Graph6Error, BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

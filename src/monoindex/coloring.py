@@ -25,6 +25,7 @@ from functools import cached_property
 from .graphs import (
     Graph,
     connected_components,
+    edge_forest,
     is_connected,
     iter_bits,
     k_subsets,
@@ -154,7 +155,7 @@ class ColorClass:
 
     @cached_property
     def component_masks(self) -> tuple[int, ...]:
-        return tuple(_edge_set_components(self.edges))
+        return tuple(sorted(edge_forest(self.edges)[1], key=lambda mask: mask & -mask))
 
     @property
     def is_connected(self) -> bool:
@@ -167,28 +168,6 @@ class ColorClass:
     @property
     def has_cycle(self) -> bool:
         return len(self.edges) > self.vertices.bit_count() - len(self.component_masks)
-
-
-def _edge_set_components(edges) -> list[int]:
-    """Vertex masks of the connected components spanned by an edge set."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    groups: dict[int, int] = {}
-    for x in parent:
-        groups[find(x)] = groups.get(find(x), 0) | 1 << x
-    return sorted(groups.values(), key=lambda mask: mask & -mask)
 
 
 def color_classes(ec: EdgeColoring) -> list[ColorClass]:
@@ -206,31 +185,56 @@ def color_classes(ec: EdgeColoring) -> list[ColorClass]:
     return out
 
 
-def _mono_component_masks(ec: EdgeColoring) -> list[int]:
+def _mono_component_masks(edges, colors) -> list[int]:
     """Vertex masks of all monochromatic components, over all colors."""
     groups: dict[int, list[tuple[int, int]]] = {}
-    for e, c in zip(ec.graph.edges, ec.colors):
+    for e, c in zip(edges, colors):
         groups.setdefault(c, []).append(e)
     masks = []
-    for edges in groups.values():
-        masks.extend(_edge_set_components(edges))
+    for group in groups.values():
+        masks.extend(edge_forest(group)[1])
     return masks
+
+
+def _cover_masks(g: Graph, class_masks) -> list[int]:
+    """Closed neighborhoods N[A] of every component A of every class mask."""
+    adj = g.adj
+    covers = []
+    for mask in class_masks:
+        for comp in connected_components(g, mask):
+            cover = comp
+            for v in iter_bits(comp):
+                cover |= adj[v]
+            covers.append(cover)
+    return covers
 
 
 def _mono_cover_masks(vc: VertexColoring) -> list[int]:
     """Closed neighborhoods N[A] of every monochromatic component A."""
-    g = vc.graph
     class_masks: dict[int, int] = {}
     for v, c in enumerate(vc.colors):
         class_masks[c] = class_masks.get(c, 0) | 1 << v
-    covers = []
-    for mask in class_masks.values():
-        for comp in connected_components(g, mask):
-            cover = comp
-            for v in iter_bits(comp):
-                cover |= g.adj[v]
-            covers.append(cover)
-    return covers
+    return _cover_masks(vc.graph, class_masks.values())
+
+
+def _coverage_targets(g: Graph, k: int):
+    """The k-sets a valid coloring must place in one cover, lazily.
+
+    At k = 2 adjacent pairs are left out: the one-edge tree holds them with
+    no internal vertex, and in an edge coloring the edge's own color does.
+    """
+    for s in k_subsets(g.n, k):
+        if k == 2 and g.adj[(s & -s).bit_length() - 1] & s:
+            continue
+        yield s
+
+
+def _all_covered(subsets, masks) -> bool:
+    """Does every subset lie inside at least one of the masks?"""
+    for s in subsets:
+        if not any(mask & s == s for mask in masks):
+            return False
+    return True
 
 
 def mono_stree_exists(ec: EdgeColoring, s: int) -> bool:
@@ -240,7 +244,7 @@ def mono_stree_exists(ec: EdgeColoring, s: int) -> bool:
     """
     if s.bit_count() <= 1:
         return True
-    return any(comp & s == s for comp in _mono_component_masks(ec))
+    return any(comp & s == s for comp in _mono_component_masks(ec.graph.edges, ec.colors))
 
 
 def vertex_mono_tree_exists(vc: VertexColoring, s: int) -> bool:
@@ -267,11 +271,7 @@ def verify_mx_coloring(ec: EdgeColoring, k: int) -> bool:
         raise ValueError(f"k={k} out of range 2..{g.n}")
     if not is_connected(g):
         raise ValueError("validity is only defined for connected graphs")
-    comps = _mono_component_masks(ec)
-    for s in k_subsets(g.n, k):
-        if not any(comp & s == s for comp in comps):
-            return False
-    return True
+    return _all_covered(_coverage_targets(g, k), _mono_component_masks(g.edges, ec.colors))
 
 
 def verify_mvx_coloring(vc: VertexColoring, k: int) -> bool:
@@ -281,15 +281,7 @@ def verify_mvx_coloring(vc: VertexColoring, k: int) -> bool:
         raise ValueError(f"k={k} out of range 2..{g.n}")
     if not is_connected(g):
         raise ValueError("validity is only defined for connected graphs")
-    covers = _mono_cover_masks(vc)
-    for s in k_subsets(g.n, k):
-        if k == 2:
-            u = (s & -s).bit_length() - 1
-            if g.adj[u] & s:
-                continue
-        if not any(cover & s == s for cover in covers):
-            return False
-    return True
+    return _all_covered(_coverage_targets(g, k), _mono_cover_masks(vc))
 
 
 def normalize_to_forest(ec: EdgeColoring, k: int) -> EdgeColoring:
@@ -312,29 +304,15 @@ def normalize_to_forest(ec: EdgeColoring, k: int) -> EdgeColoring:
         by_color.setdefault(c, []).append(idx)
     for c in sorted(by_color):
         idxs = by_color[c]
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        forest_edges = []
-        for idx in idxs:
-            u, v = g.edges[idx]
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru == rv:
+        kept, comps = edge_forest(g.edges[idx] for idx in idxs)
+        groups: dict[int, list[int]] = {}
+        for idx, tree_edge in zip(idxs, kept):
+            if not tree_edge:
                 colors[idx] = next_color  # closes a cycle
                 next_color += 1
-            else:
-                parent[rv] = ru
-                forest_edges.append(idx)
-        groups: dict[int, list[int]] = {}
-        for idx in forest_edges:
-            groups.setdefault(find(g.edges[idx][0]), []).append(idx)
+                continue
+            u = g.edges[idx][0]
+            groups.setdefault(next(comp for comp in comps if comp >> u & 1), []).append(idx)
         for _, group in sorted((min(grp), grp) for grp in groups.values())[1:]:
             for idx in group:
                 colors[idx] = next_color

@@ -165,6 +165,51 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
     return comps
 
 
+def edge_forest(edges) -> tuple[list[bool], list[int]]:
+    """Kruskal over an edge sequence in input order, on vertex masks.
+
+    ``kept[i]`` is False exactly when edge i joins two vertices that the
+    edges before it already connect; ``comps`` holds the vertex masks of the
+    components the edges span.
+    """
+    kept = []
+    comps: list[int] = []
+    for u, v in edges:
+        ends = 1 << u | 1 << v
+        merged = ends
+        rest = []
+        for comp in comps:
+            if comp & ends:
+                merged |= comp
+            else:
+                rest.append(comp)
+        kept.append(merged not in comps)
+        rest.append(merged)
+        comps = rest
+    return kept, comps
+
+
+def bfs_tree(g: Graph, root: int, within: int | None = None) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, of the BFS tree from root, in discovery order.
+
+    With ``within`` the tree spans only the part of root's component in the
+    subgraph induced by that mask. Neighbors are taken lowest id first.
+    """
+    allowed = g.full_mask if within is None else within
+    tree = []
+    seen = 1 << root
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in iter_bits(g.adj[u] & allowed & ~seen):
+                seen |= 1 << v
+                tree.append((u, v) if u < v else (v, u))
+                nxt.append(v)
+        frontier = nxt
+    return tree
+
+
 def cut_vertices(g: Graph) -> int:
     """Mask of the vertices whose removal disconnects g (lowpoint DFS)."""
     if not is_connected(g):
@@ -404,28 +449,22 @@ def _canonical(g: Graph) -> tuple[int, Graph]:
 
 
 @lru_cache(maxsize=None)
-def _connected_reps(n: int) -> tuple[Graph, ...]:
+def _reps(n: int, connected: bool) -> tuple[Graph, ...]:
+    """Canonical representatives on n vertices in ascending canonical code.
+
+    Each (n-1)-vertex representative is extended by every neighborhood of a
+    new last vertex. Connected graphs need only connected parents and a
+    nonempty neighborhood: every connected graph has a non-cut vertex.
+    """
+    if not 1 <= n <= ENUMERATION_MAX_VERTICES:
+        raise BudgetError(
+            f"enumeration is supported for 1 <= n <= {ENUMERATION_MAX_VERTICES}, got n={n}"
+        )
     if n == 1:
         return (Graph(1, (0,)),)
     found: dict[int, Graph] = {}
-    for parent in _connected_reps(n - 1):
-        for mask in range(1, 1 << (n - 1)):
-            adj = tuple(
-                parent.adj[i] | ((mask >> i & 1) << (n - 1)) for i in range(n - 1)
-            ) + (mask,)
-            code, canon = _canonical(Graph(n, adj))
-            if code not in found:
-                found[code] = canon
-    return tuple(g for _, g in sorted(found.items()))
-
-
-@lru_cache(maxsize=None)
-def _all_reps(n: int) -> tuple[Graph, ...]:
-    if n == 1:
-        return (Graph(1, (0,)),)
-    found: dict[int, Graph] = {}
-    for parent in _all_reps(n - 1):
-        for mask in range(1 << (n - 1)):
+    for parent in _reps(n - 1, connected):
+        for mask in range(int(connected), 1 << (n - 1)):
             adj = tuple(
                 parent.adj[i] | ((mask >> i & 1) << (n - 1)) for i in range(n - 1)
             ) + (mask,)
@@ -439,21 +478,11 @@ def enumerate_connected_graphs(n: int):
     """One canonical representative per isomorphism class of connected graphs.
 
     Representatives are canonically labeled and stream in ascending canonical
-    code, so the order is reproducible byte for byte. Grows a vertex at a time
-    from the (n-1)-vertex classes; every connected graph has a non-cut vertex,
-    so nothing is missed.
+    code, so the order is reproducible byte for byte.
     """
-    if not 1 <= n <= ENUMERATION_MAX_VERTICES:
-        raise BudgetError(
-            f"enumeration is supported for 1 <= n <= {ENUMERATION_MAX_VERTICES}, got n={n}"
-        )
-    yield from _connected_reps(n)
+    yield from _reps(n, True)
 
 
 def enumerate_graphs(n: int):
     """Like enumerate_connected_graphs but without the connectivity filter."""
-    if not 1 <= n <= ENUMERATION_MAX_VERTICES:
-        raise BudgetError(
-            f"enumeration is supported for 1 <= n <= {ENUMERATION_MAX_VERTICES}, got n={n}"
-        )
-    yield from _all_reps(n)
+    yield from _reps(n, False)

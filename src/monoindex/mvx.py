@@ -17,16 +17,22 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .coloring import VertexColoring, verify_mvx_coloring
+from .coloring import (
+    VertexColoring,
+    _all_covered,
+    _cover_masks,
+    _coverage_targets,
+    verify_mvx_coloring,
+)
 from .graphs import (
     BudgetError,
     Graph,
+    bfs_tree,
     connected_components,
     cut_vertices,
     diameter,
     is_connected,
     iter_bits,
-    k_subsets,
     mask_from,
 )
 from .partitions import set_partitions_with_blocks
@@ -50,12 +56,12 @@ class MvxResult:
     method: str  # "exact-search" | "cut-vertex" | "closed-form"
 
 
-def _tree_leaf_count(n: int, edges) -> int:
+def _degrees(n: int, edges) -> list[int]:
     deg = [0] * n
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    return sum(1 for d in deg if d == 1)
+    return deg
 
 
 def max_leaf_spanning_tree(g: Graph, max_subsets: int = MAX_TREE_SUBSETS) -> SpanningTreeResult:
@@ -75,6 +81,9 @@ def max_leaf_spanning_tree(g: Graph, max_subsets: int = MAX_TREE_SUBSETS) -> Spa
     edges = g.edges
     best_edges = None
     best_leaves = -1
+    # An array union-find that stops at the first cycle. The shared
+    # edge_forest finishes every subset, which doubled the time of this scan
+    # (48,620 subsets for the reduction gadget of a 4-vertex tree).
     for combo in itertools.combinations(edges, n - 1):
         deg = [0] * n
         parent = list(range(n))
@@ -127,35 +136,36 @@ def max_leaf_heuristic(g: Graph) -> SpanningTreeResult:
                 best_v = v
         core |= 1 << best_v
         dominated |= closed[best_v]
-    # spanning tree: BFS tree of the core, leaves attached below it
-    tree = []
-    seen = 1 << start
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in iter_bits(g.adj[u] & core & ~seen):
-                seen |= 1 << v
-                tree.append((u, v) if u < v else (v, u))
-                nxt.append(v)
-        frontier = nxt
-    for v in iter_bits(full & ~core):
+    return _tree_from_core(g, core, start)
+
+
+def _tree_from_core(g: Graph, core: int, root: int) -> SpanningTreeResult:
+    """Spanning tree whose internal vertices lie in a connected dominating core:
+    the BFS tree of the core from root, every other vertex hung as a leaf off
+    its lowest-id core neighbor."""
+    tree = bfs_tree(g, root, core)
+    for v in iter_bits(g.full_mask & ~core):
         anchor = (g.adj[v] & core & -(g.adj[v] & core)).bit_length() - 1
         tree.append((anchor, v) if anchor < v else (v, anchor))
     tree.sort()
-    return SpanningTreeResult(tuple(tree), _tree_leaf_count(n, tree))
+    return SpanningTreeResult(tuple(tree), _degrees(g.n, tree).count(1))
 
 
-def _subset_connected(g: Graph, mask: int) -> bool:
-    comp = mask & -mask
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & mask & ~comp
-        comp |= frontier
-    return comp == mask
+def _dominating_masks(g: Graph, max_vertices: int = MAX_DOMINATION_VERTICES):
+    """Every dominating set of g as a mask, by ascending size, then in
+    combinations order within a size. Refuses graphs above the budget."""
+    n = g.n
+    if n > max_vertices:
+        raise BudgetError(f"subset search over {n} vertices exceeds the budget of {max_vertices}")
+    full = g.full_mask
+    closed = [g.adj[v] | 1 << v for v in range(n)]
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            cover = 0
+            for v in combo:
+                cover |= closed[v]
+            if cover == full:
+                yield mask_from(combo)
 
 
 def minimum_connected_dominating_set(
@@ -164,23 +174,11 @@ def minimum_connected_dominating_set(
     """Mask of a minimum connected dominating set (ascending-size search)."""
     if not is_connected(g):
         raise ValueError("connected domination needs a connected graph")
-    n = g.n
-    if n > max_vertices:
-        raise BudgetError(f"subset search over {n} vertices exceeds the budget of {max_vertices}")
-    if n == 1:
+    if g.n == 1:
         return 0  # lone vertex: empty set by convention
-    full = g.full_mask
-    closed = [g.adj[v] | 1 << v for v in range(n)]
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            cover = 0
-            for v in combo:
-                cover |= closed[v]
-            if cover != full:
-                continue
-            mask = mask_from(combo)
-            if _subset_connected(g, mask):
-                return mask
+    for mask in _dominating_masks(g, max_vertices):
+        if connected_components(g, mask) == [mask]:
+            return mask
     raise RuntimeError("unreachable: the full vertex set always dominates")
 
 
@@ -189,34 +187,14 @@ def connected_domination_number(g: Graph, max_vertices: int = MAX_DOMINATION_VER
     return minimum_connected_dominating_set(g, max_vertices).bit_count()
 
 
-def _tree_from_cds(g: Graph, core: int) -> SpanningTreeResult:
-    """Spanning tree with internal vertices inside the given connected core."""
-    tree = []
-    start = (core & -core).bit_length() - 1 if core else 0
-    seen = 1 << start
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in iter_bits(g.adj[u] & core & ~seen):
-                seen |= 1 << v
-                tree.append((u, v) if u < v else (v, u))
-                nxt.append(v)
-        frontier = nxt
-    for v in iter_bits(g.full_mask & ~core):
-        anchor = (g.adj[v] & core & -(g.adj[v] & core)).bit_length() - 1
-        tree.append((anchor, v) if anchor < v else (v, anchor))
-    tree.sort()
-    return SpanningTreeResult(tuple(tree), _tree_leaf_count(g.n, tree))
-
-
 def _max_leaf_tree(g: Graph) -> SpanningTreeResult:
     """Exact max-leaf tree by subset scan when cheap, else via a minimum
     connected dominating set (exact by the leaf/domination duality, which the
     test suite validates against the subset scan on every small graph)."""
     if comb(g.m, g.n - 1) <= 50_000:
         return max_leaf_spanning_tree(g)
-    return _tree_from_cds(g, minimum_connected_dominating_set(g))
+    core = minimum_connected_dominating_set(g)
+    return _tree_from_core(g, core, (core & -core).bit_length() - 1)
 
 
 def mvx_n_formula(g: Graph) -> int:
@@ -239,10 +217,7 @@ def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
     if not cut_vertices(g):
         raise ValueError("not applicable: the graph has no cut vertex")
     tree = _max_leaf_tree(g)
-    deg = [0] * g.n
-    for u, v in tree.edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = _degrees(g.n, tree.edges)
     colors = [0] * g.n
     fresh = 1
     for v in range(g.n):
@@ -268,32 +243,14 @@ def mvx_exact(g: Graph, k: int, max_vertices: int = MAX_EXACT_VERTICES) -> MvxRe
         raise BudgetError(
             f"partition search over {n} vertices exceeds the budget of {max_vertices}"
         )
-    if k == 2:
-        # adjacent pairs are always fine: the one-edge tree has no internals
-        subsets = tuple(
-            s for s in k_subsets(n, 2)
-            if not g.adj[(s & -s).bit_length() - 1] & s
-        )
-    else:
-        subsets = tuple(k_subsets(n, k))
-    adj = g.adj
+    subsets = tuple(_coverage_targets(g, k))
     start = min(n, n - diameter(g) + 2)
     for t in range(start, 0, -1):
         for colors in set_partitions_with_blocks(n, t):
             class_masks = [0] * t
             for v, c in enumerate(colors):
                 class_masks[c] |= 1 << v
-            covers = []
-            for mask in class_masks:
-                for comp in connected_components(g, mask):
-                    cover = comp
-                    for v in iter_bits(comp):
-                        cover |= adj[v]
-                    covers.append(cover)
-            for s in subsets:
-                if not any(cover & s == s for cover in covers):
-                    break
-            else:
+            if _all_covered(subsets, _cover_masks(g, class_masks)):
                 return MvxResult(t, VertexColoring(g, colors), k, "exact-search")
     raise RuntimeError("unreachable: one color is always valid on a connected graph")
 
@@ -315,13 +272,17 @@ def complement_cycle_mvx(n: int, k: int) -> int:
         raise ValueError("the closed form covers n >= 6 only")
     if not 3 <= k <= n:
         raise ValueError(f"k={k} out of range 3..{n}")
+    return n if k <= _mod4_threshold(n) else n - 1
+
+
+def _mod4_threshold(n: int) -> int:
+    """The last k before the closed forms step down: (n-1)/2 for odd n,
+    n/2 - 1 when 4 | n, and n/2 otherwise."""
     if n % 2 == 1:
-        threshold = (n - 1) // 2
-    elif n % 4 == 0:
-        threshold = n // 2 - 1
-    else:
-        threshold = n // 2
-    return n if k <= threshold else n - 1
+        return (n - 1) // 2
+    if n % 4 == 0:
+        return n // 2 - 1
+    return n // 2
 
 
 def diameter_upper_bound(g: Graph) -> int:
@@ -401,10 +362,7 @@ def extract_mono_spanning_tree(vc: VertexColoring, v0: int) -> SpanningTreeResul
     edges = tuple(sorted(tree_edges))
     if len(edges) != g.n - 1:
         raise RuntimeError("splicing produced a non-tree; this is a bug")
-    deg = [0] * g.n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = _degrees(g.n, edges)
     if any(vc.colors[v] != c for v in range(g.n) if deg[v] >= 2):
         raise RuntimeError("tree has an internal vertex of the wrong color; this is a bug")
-    return SpanningTreeResult(edges, sum(1 for d in deg if d == 1))
+    return SpanningTreeResult(edges, deg.count(1))

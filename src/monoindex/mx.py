@@ -11,8 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring, color_classes, verify_mx_coloring
-from .graphs import BudgetError, Graph, is_connected, iter_bits, k_subsets
+from .coloring import (
+    EdgeColoring,
+    _all_covered,
+    _coverage_targets,
+    _mono_component_masks,
+    color_classes,
+    verify_mx_coloring,
+)
+from .graphs import BudgetError, Graph, bfs_tree, edge_forest, is_connected
 from .partitions import set_partitions_with_blocks
 
 MAX_BRUTEFORCE_EDGES = 10
@@ -51,17 +58,7 @@ def construct_extremal_mx(g: Graph) -> EdgeColoring:
         raise ValueError("extremal construction needs a connected graph")
     if g.n == 1:
         return EdgeColoring(g, ())
-    tree_edges = set()
-    seen = 1
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in iter_bits(g.adj[u] & ~seen):
-                seen |= 1 << v
-                tree_edges.add((u, v) if u < v else (v, u))
-                nxt.append(v)
-        frontier = nxt
+    tree_edges = set(bfs_tree(g, 0))
     colors = []
     fresh = 1
     for e in g.edges:
@@ -105,60 +102,17 @@ def simplify_coloring(ec: EdgeColoring, k: int) -> EdgeColoring:
         keep = pair[0]
         union_idxs = sorted(g.edge_index[e] for cc in pair for e in cc.edges)
         # Kruskal over the union: tree edges take color c, the rest fresh ones
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for idx in union_idxs:
-            u, v = g.edges[idx]
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru == rv:
+        kept, _ = edge_forest(g.edges[idx] for idx in union_idxs)
+        for idx, tree_edge in zip(union_idxs, kept):
+            if tree_edge:
+                colors[idx] = keep.color
+            else:
                 colors[idx] = next_color
                 next_color += 1
-            else:
-                parent[rv] = ru
-                colors[idx] = keep.color
     out = EdgeColoring(g, tuple(colors)).renumbered()
     if not verify_mx_coloring(out, k):
         raise RuntimeError("simplification broke the coloring; this is a bug")
     return out
-
-
-def _partition_component_masks(g: Graph, colors: tuple[int, ...], blocks: int) -> list[int]:
-    """Vertex masks of all monochromatic components of an edge partition."""
-    groups: list[list[int]] = [[] for _ in range(blocks)]
-    for idx, c in enumerate(colors):
-        groups[c].append(idx)
-    edges = g.edges
-    masks = []
-    for idxs in groups:
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for idx in idxs:
-            u, v = edges[idx]
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-        comps: dict[int, int] = {}
-        for x in parent:
-            r = find(x)
-            comps[r] = comps.get(r, 0) | 1 << x
-        masks.extend(comps.values())
-    return masks
 
 
 def mx_exact_bruteforce(g: Graph, k: int, max_edges: int = MAX_BRUTEFORCE_EDGES) -> MxResult:
@@ -178,13 +132,10 @@ def mx_exact_bruteforce(g: Graph, k: int, max_edges: int = MAX_BRUTEFORCE_EDGES)
         raise BudgetError(
             f"partition search over {m} edges exceeds the budget of {max_edges}"
         )
-    subsets = tuple(k_subsets(g.n, k))
+    subsets = tuple(_coverage_targets(g, k))
+    edges = g.edges
     for t in range(m, 0, -1):
         for colors in set_partitions_with_blocks(m, t):
-            masks = _partition_component_masks(g, colors, t)
-            for s in subsets:
-                if not any(mask & s == s for mask in masks):
-                    break
-            else:
+            if _all_covered(subsets, _mono_component_masks(edges, colors)):
                 return MxResult(t, EdgeColoring(g, colors), k)
     raise RuntimeError("no valid coloring found; this is a bug")  # t=1 always valid

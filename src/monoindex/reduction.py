@@ -18,11 +18,10 @@ contract, so lift/project results are plain vertex lists.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .graphs import BudgetError, Graph, from_edges, iter_bits, mask_from
-from .mvx import MAX_DOMINATION_VERTICES, _subset_connected, mvx_via_cut_vertex
+from .graphs import Graph, connected_components, from_edges, iter_bits, mask_from
+from .mvx import MAX_DOMINATION_VERTICES, _dominating_masks, mvx_via_cut_vertex
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ def check_certificate(g: Graph, cert: DominationCertificate) -> bool:
     if cover != g.full_mask:
         return False
     if cert.kind == "connected-dominating":
-        return bool(mask) and _subset_connected(g, mask)
+        return connected_components(g, mask) == [mask]
     return True
 
 
@@ -86,20 +85,7 @@ def build_gadget(g: Graph) -> GadgetMap:
 
 def minimum_dominating_set(g: Graph, max_vertices: int = MAX_DOMINATION_VERTICES) -> frozenset[int]:
     """A minimum dominating set by ascending-size subset search."""
-    if g.n > max_vertices:
-        raise BudgetError(
-            f"subset search over {g.n} vertices exceeds the budget of {max_vertices}"
-        )
-    full = g.full_mask
-    closed = [g.adj[v] | 1 << v for v in range(g.n)]
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            cover = 0
-            for v in combo:
-                cover |= closed[v]
-            if cover == full:
-                return frozenset(combo)
-    raise RuntimeError("unreachable: the full vertex set always dominates")
+    return frozenset(iter_bits(next(_dominating_masks(g, max_vertices))))
 
 
 def dominating_number(g: Graph, max_vertices: int = MAX_DOMINATION_VERTICES) -> int:

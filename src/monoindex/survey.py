@@ -34,7 +34,7 @@ from .graphs import (
     path_graph,
     to_graph6,
 )
-from .mvx import connected_domination_number, mvx_exact
+from .mvx import _mod4_threshold, connected_domination_number, mvx_exact
 
 CSV_COLUMNS = (
     "n", "k", "g6", "g6_complement", "mvx_g", "mvx_gbar",
@@ -87,13 +87,7 @@ def expected_lower_bound(n: int, k: int) -> int:
         return 6
     if n == 6:
         return 8
-    if n % 2 == 1:
-        threshold = (n - 1) // 2
-    elif n % 4 == 0:
-        threshold = n // 2 - 1
-    else:
-        threshold = n // 2
-    return n + 3 if k <= threshold else n + 2
+    return n + 3 if k <= _mod4_threshold(n) else n + 2
 
 
 def upper_bound_applies(n: int, k: int) -> bool:

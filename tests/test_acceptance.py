@@ -4,8 +4,11 @@ Every assertion is exact integer equality (or an exact set comparison);
 nothing is tolerance-calibrated. Each test prints one PASS line on the way
 out, so `pytest tests/test_acceptance.py -v -s` reads as a checklist. The
 slowest pieces are the n=7 sweeps; the whole module runs in a few minutes.
+A last test pins the SHA-256 of the survey CSV text at n = 5, 6, 7, reusing
+the survey records the criteria already compute.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -42,6 +45,7 @@ from monoindex.survey import (
     expected_lower_bound,
     locate_F1,
     survey_bounds,
+    survey_csv_text,
     upper_bound_applies,
 )
 
@@ -312,6 +316,21 @@ def test_c11_property_suites():
 
     report(11, "merge monotonicity (2x500 seeded trials), subtree-oracle agreement "
                "(n<=6 x 50 partitions), and both index chains hold")
+
+
+SURVEY_CSV_SHA256 = {
+    5: "13a94fc859cb628c86048367a21dd2dae65c579c35fa29be8c5efd6c1a507817",
+    6: "215038ef452fb0f0cec8d40bf7699cf3cdad734562e5d89f95bcdda782017c4a",
+    7: "fec4e365bae998e4c0aee9df2ec5182e18a8b49f6f0ec0e3e2d0b82659e0c49b",
+}
+
+
+def test_survey_csv_golden(survey_records):
+    got = {
+        n: hashlib.sha256(survey_csv_text(records).encode()).hexdigest()
+        for n, records in survey_records.items()
+    }
+    assert got == SURVEY_CSV_SHA256
 
 
 def _g6_graph(g6: str):

@@ -1,5 +1,6 @@
 import pytest
 
+from monoindex import cli
 from monoindex.cli import main
 from monoindex.coloring import (
     EdgeColoring,
@@ -171,3 +172,21 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [("mx", "--k", "3"), ("mvx", "--k", "3", "--cut-vertex")])
+    def test_witness_beyond_graph6_prints_nothing(self, capsys, tmp_path, argv):
+        graph = tmp_path / "p70.txt"
+        graph.write_text(to_edge_list(path_graph(70)))
+        witness = tmp_path / "witness.txt"
+        code, out, err = run_cli(capsys, *argv, "--graph", str(graph), "--witness", str(witness))
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert not witness.exists()
+
+    @pytest.mark.parametrize("k", ["2", "5", "99"])
+    def test_survey_k_out_of_range(self, capsys, monkeypatch, k):
+        def no_survey(*args, **kwargs):
+            raise AssertionError("survey ran despite an out-of-range --k")
+
+        monkeypatch.setattr(cli, "survey_bounds", no_survey)
+        code, out, err = run_cli(capsys, "survey", "--n", "4", "--k", k)
+        assert code == 2 and out == "" and err.startswith("error:")

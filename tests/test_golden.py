@@ -1,0 +1,77 @@
+"""Golden outputs: SHA-256 digests of CLI stdout and of the files it writes.
+
+The digests were recorded before the package's graph helpers were merged
+into shared functions. Enumeration order, printed values, witness colorings
+and certificates must all stay byte-identical, so any drift shows up here
+by command. The survey CSV digests live in test_acceptance.py, which
+already holds the n = 5..7 survey records.
+"""
+
+import hashlib
+
+from monoindex.cli import main
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_digest(capsys, workdir, argv: str) -> str:
+    """Digest of the exit code, stdout and every file the command changed."""
+    before = {p.name: p.read_text() for p in workdir.iterdir()}
+    code = main(argv.split())
+    parts = [f"exit {code}", capsys.readouterr().out]
+    for p in sorted(workdir.iterdir()):
+        text = p.read_text()
+        if before.get(p.name) != text:
+            parts.append(f"file {p.name}\n{text}")
+    return sha256("\n".join(parts))
+
+
+# The command list of the README's "Command line" section, run in order in
+# one directory (verify reads the certificate the mx call before it wrote).
+README_COMMANDS = {
+    "mx --graph C~ --k 3": "44b644dba80c49f510b37d9c2018eb57cda7fecf88a9dccbdcf2a9347aa8230e",
+    "mx --graph C~ --k 2 --exact": "be82df760f3ae945de1b5999e90613ecf5d0567ed7165cf4714dfbca68c623df",
+    "mvx --graph ECr_ --k 3": "c0bb1f2153473465f2c768727aa1518bba75903eca6d4d0e15f299b35fa11b6f",
+    "mvx --graph Ch --k 4 --cut-vertex": "e744f2fbb9fc77137297a2a131a5dc5a4ba76d3a413b31656148aaa5004e8738",
+    "mvx --graph Ch --k 3 --bound": "e744f2fbb9fc77137297a2a131a5dc5a4ba76d3a413b31656148aaa5004e8738",
+    "mx --graph C~ --k 3 --witness cert.txt": "59daf24bb88e98702a57de7fc360ec3073537abbd1af6fb21a0c26ead5a5e35d",
+    "verify --coloring cert.txt --k 3": "5478475b9ea68ee12a022ba5582f3c16bcf97a0a2dc7c16b98dfcb6da5e875f0",
+    "gadget --graph Bw": "80e5ebc1dd506583fd717c8c30fda061b41a7222d642bf681537ea2fdc6c7390",
+    "reduce --graph Bw --k 1 --emit-gadget g.g6 --certificates c.txt": "2ddcb229031361ea7fbced260f32c8b56eaad48304c9d75a358eaf13dafb902a",
+    "survey --n 6 --csv out.csv": "e4e7d285b2aea9a3942430cc97a483e7bf0b5b497117e534eb8147bdc4567b26",
+    "survey --n 6 --find-f1": "f4c5b2b009ec543782fc668ef383c6947ee1d193c978f34e2661d779af230895",
+    "enumerate --n 5": "498d32ee965aee8bf86067b4688d0a1557fc64492fcc9aa8351ad8c4b03681c7",
+}
+
+ENUMERATE_COMMANDS = {
+    "enumerate --n 1": "0baa71d0404ec0d905d87aae99cc3641d8fe90326d1abf73fad22b8a1ebb3b31",
+    "enumerate --n 2": "dcf5ac79274c1da680584452d0d1b24bf33fc2759b9ad0d0656f1742cfde147a",
+    "enumerate --n 3": "732a90a94eda343203525702026a98c8ed590106173b74ecac26da2f09ab6cd0",
+    "enumerate --n 4": "32e7eb0a3bd92b970a81d8c04cd4e06cf94cc80640af55887100891ee553cf38",
+    "enumerate --n 5": "498d32ee965aee8bf86067b4688d0a1557fc64492fcc9aa8351ad8c4b03681c7",
+    "enumerate --n 6": "009f72cff9afc8770d2b7eba737b5112d31325ebac55a0059dffb344e7d38825",
+    "enumerate --n 7": "f1385a6ae1c1f2eff2f875bd2f65939177cf61b5e9c22eae32bebdca60bad3e9",
+    "enumerate --n 4 --coconnected": "26d4fdb88897bb30e68e4cfa6231c805a78186083345043290edc5b2d3b958cc",
+    "enumerate --n 5 --coconnected": "d07dfce7118123feb7f08baec4c1b4046b5329f9d32dafa763e8f724e225b8e9",
+    "enumerate --n 6 --coconnected": "268eb82d42ebdb797f8c931f13811a16d14b113322990e686ac6063d005f534f",
+    "enumerate --n 7 --coconnected": "0b0d9b5174af69025662ebaee04c74ff1227c3dc8d1635077984cf897952a084",
+    "enumerate --n 1 --all": "0baa71d0404ec0d905d87aae99cc3641d8fe90326d1abf73fad22b8a1ebb3b31",
+    "enumerate --n 2 --all": "9fb80b955b8efc7548b6699785ff9ac93957336227520edc973aee856646a722",
+    "enumerate --n 3 --all": "16831d09580f412a5117923d056c2eddf166a7812442c7a3caee3d49377cbf8d",
+    "enumerate --n 4 --all": "90dac4101b2308668c0995aea7179b90a669a4441b316ccd1c4f11e8b6cb42d1",
+    "enumerate --n 5 --all": "370b6e6bd8b9d46d68c22faca1e575af817df8eb48b339d87efec02362f5e67d",
+    "enumerate --n 6 --all": "a3ca99c373d2970f1faf1c4f97a51c19130b53dedc9c19f4b19f5ea5259ec616",
+}
+
+
+def test_readme_commands(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = {argv: run_digest(capsys, tmp_path, argv) for argv in README_COMMANDS}
+    assert got == README_COMMANDS
+
+
+def test_enumerate_stdout(capsys, tmp_path):
+    got = {argv: run_digest(capsys, tmp_path, argv) for argv in ENUMERATE_COMMANDS}
+    assert got == ENUMERATE_COMMANDS

@@ -17,6 +17,7 @@ from monoindex.graphs import (
     cut_vertices,
     cycle_graph,
     diameter,
+    edge_forest,
     enumerate_connected_graphs,
     enumerate_graphs,
     from_edges,
@@ -142,6 +143,21 @@ class TestConnectivity:
         assert connected_components(g) == [0b00011, 0b01100, 0b10000]
         assert connected_components(g, within=0b01110) == [0b00010, 0b01100]
 
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda e: e[0] != e[1]),
+                    max_size=16))
+    @settings(max_examples=200)
+    def test_edge_forest_against_reachability(self, edges):
+        kept, comps = edge_forest(edges)
+        adj = {v: set() for v in range(8)}
+        for (u, v), tree_edge in zip(edges, kept):
+            assert tree_edge == (v not in oracles.reachable(adj, u, set(adj)))
+            adj[u].add(v)
+            adj[v].add(u)
+        touched = {x for e in edges for x in e}
+        want = {mask_from(oracles.reachable(adj, v, touched)) for v in touched}
+        assert len(kept) == len(edges)
+        assert sorted(comps) == sorted(want)
+
 
 class TestCutVertices:
     def test_examples(self):
@@ -194,12 +210,15 @@ class TestEnumeration:
             )
 
     def test_representatives_are_canonical_and_sorted(self):
-        for n in (4, 5, 6):
-            graphs = list(enumerate_connected_graphs(n))
-            codes = [canonical_code(g) for g in graphs]
-            assert codes == sorted(codes)
-            assert all(canonical_form(g).adj == g.adj for g in graphs)
-            assert all(is_connected(g) for g in graphs)
+        for enumerate_fn in (enumerate_connected_graphs, enumerate_graphs):
+            for n in (4, 5, 6):
+                graphs = list(enumerate_fn(n))
+                codes = [canonical_code(g) for g in graphs]
+                assert codes == sorted(codes)
+                assert all(canonical_form(g).adj == g.adj for g in graphs)
+        for n in range(1, 7):
+            connected = [g.adj for g in enumerate_connected_graphs(n)]
+            assert connected == [g.adj for g in enumerate_graphs(n) if is_connected(g)]
 
     def test_budget(self):
         with pytest.raises(BudgetError):
