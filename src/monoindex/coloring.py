@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 from .graphs import (
+    BudgetError,
     Graph,
     connected_components,
     edge_forest,
@@ -32,6 +34,10 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
+from .partitions import set_partitions_with_blocks
+
+# C(n, k) k-sets a verifier may scan; the spanning-tree scan has the same cap
+MAX_VERIFY_SUBSETS = 10_000_000
 
 
 def _renumber(colors: tuple[int, ...]) -> tuple[int, ...]:
@@ -46,19 +52,19 @@ def _renumber(colors: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class EdgeColoring:
-    """A total assignment of a color id to every edge of ``graph``.
-
-    ``colors[i]`` is the color of ``graph.edges[i]``.
-    """
+class _Coloring:
+    """A total assignment of a color id to every element (edge or vertex) of
+    ``graph``. Subclasses name the element count and the cover masks of
+    their kind; equality holds only between colorings of the same kind."""
 
     graph: Graph
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.colors) != self.graph.m:
+        size = self._size(self.graph)
+        if len(self.colors) != size:
             raise ValueError(
-                f"coloring covers {len(self.colors)} edges, graph has {self.graph.m}"
+                f"coloring covers {len(self.colors)} {self._elements}, graph has {size}"
             )
         if any(c < 0 for c in self.colors):
             raise ValueError("color ids must be non-negative")
@@ -67,10 +73,51 @@ class EdgeColoring:
     def num_colors(self) -> int:
         return len(set(self.colors))
 
-    def color_of(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self.colors[self.graph.edge_index[(u, v)]]
+    def renumbered(self):
+        return type(self)(self.graph, _renumber(self.colors))
+
+    def merged(self, a: int, b: int):
+        """Recolor class b onto class a, then renumber densely."""
+        if a == b:
+            raise ValueError("merge needs two distinct color ids")
+        return type(self)(
+            self.graph, _renumber(tuple(a if c == b else c for c in self.colors))
+        )
+
+
+def _edge_covers(g: Graph, colors) -> list[int]:
+    """Vertex masks of all monochromatic components, over all colors."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for e, c in zip(g.edges, colors):
+        groups.setdefault(c, []).append(e)
+    masks = []
+    for group in groups.values():
+        masks.extend(edge_forest(group)[1])
+    return masks
+
+
+def _vertex_covers(g: Graph, colors) -> list[int]:
+    """Closed neighborhoods N[A] of every monochromatic component A."""
+    class_masks: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        class_masks[c] = class_masks.get(c, 0) | 1 << v
+    adj = g.adj
+    covers = []
+    for mask in class_masks.values():
+        for comp in connected_components(g, mask):
+            cover = comp
+            for v in iter_bits(comp):
+                cover |= adj[v]
+            covers.append(cover)
+    return covers
+
+
+class EdgeColoring(_Coloring):
+    """``colors[i]`` is the color of ``graph.edges[i]``."""
+
+    _elements = "edges"
+    _size = staticmethod(lambda g: g.m)
+    _covers = staticmethod(_edge_covers)
 
     @classmethod
     def from_map(cls, graph: Graph, mapping) -> "EdgeColoring":
@@ -86,42 +133,13 @@ class EdgeColoring:
             raise ValueError(f"edges without a color: {missing}")
         return cls(graph, tuple(colors))
 
-    def as_map(self) -> dict[tuple[int, int], int]:
-        return dict(zip(self.graph.edges, self.colors))
 
-    def renumbered(self) -> "EdgeColoring":
-        return EdgeColoring(self.graph, _renumber(self.colors))
+class VertexColoring(_Coloring):
+    """``colors[v]`` is the color of vertex v."""
 
-    def merged(self, a: int, b: int) -> "EdgeColoring":
-        """Recolor class b onto class a, then renumber densely."""
-        if a == b:
-            raise ValueError("merge needs two distinct color ids")
-        return EdgeColoring(
-            self.graph, _renumber(tuple(a if c == b else c for c in self.colors))
-        )
-
-
-@dataclass(frozen=True)
-class VertexColoring:
-    """A total assignment of a color id to every vertex of ``graph``."""
-
-    graph: Graph
-    colors: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.colors) != self.graph.n:
-            raise ValueError(
-                f"coloring covers {len(self.colors)} vertices, graph has {self.graph.n}"
-            )
-        if any(c < 0 for c in self.colors):
-            raise ValueError("color ids must be non-negative")
-
-    @property
-    def num_colors(self) -> int:
-        return len(set(self.colors))
-
-    def color_of(self, v: int) -> int:
-        return self.colors[v]
+    _elements = "vertices"
+    _size = staticmethod(lambda g: g.n)
+    _covers = staticmethod(_vertex_covers)
 
     def class_mask(self, color: int) -> int:
         out = 0
@@ -129,16 +147,6 @@ class VertexColoring:
             if c == color:
                 out |= 1 << v
         return out
-
-    def renumbered(self) -> "VertexColoring":
-        return VertexColoring(self.graph, _renumber(self.colors))
-
-    def merged(self, a: int, b: int) -> "VertexColoring":
-        if a == b:
-            raise ValueError("merge needs two distinct color ids")
-        return VertexColoring(
-            self.graph, _renumber(tuple(a if c == b else c for c in self.colors))
-        )
 
 
 @dataclass(frozen=True)
@@ -185,38 +193,6 @@ def color_classes(ec: EdgeColoring) -> list[ColorClass]:
     return out
 
 
-def _mono_component_masks(edges, colors) -> list[int]:
-    """Vertex masks of all monochromatic components, over all colors."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for e, c in zip(edges, colors):
-        groups.setdefault(c, []).append(e)
-    masks = []
-    for group in groups.values():
-        masks.extend(edge_forest(group)[1])
-    return masks
-
-
-def _cover_masks(g: Graph, class_masks) -> list[int]:
-    """Closed neighborhoods N[A] of every component A of every class mask."""
-    adj = g.adj
-    covers = []
-    for mask in class_masks:
-        for comp in connected_components(g, mask):
-            cover = comp
-            for v in iter_bits(comp):
-                cover |= adj[v]
-            covers.append(cover)
-    return covers
-
-
-def _mono_cover_masks(vc: VertexColoring) -> list[int]:
-    """Closed neighborhoods N[A] of every monochromatic component A."""
-    class_masks: dict[int, int] = {}
-    for v, c in enumerate(vc.colors):
-        class_masks[c] = class_masks.get(c, 0) | 1 << v
-    return _cover_masks(vc.graph, class_masks.values())
-
-
 def _coverage_targets(g: Graph, k: int):
     """The k-sets a valid coloring must place in one cover, lazily.
 
@@ -237,51 +213,80 @@ def _all_covered(subsets, masks) -> bool:
     return True
 
 
-def mono_stree_exists(ec: EdgeColoring, s: int) -> bool:
-    """Is there a tree of one edge color containing every vertex of mask s?
+def _check_index_args(g: Graph, k: int) -> None:
+    """Both indices are defined for connected graphs and 2 <= k <= n."""
+    if not is_connected(g):
+        raise ValueError("the index is defined for connected graphs only")
+    if not 2 <= k <= g.n:
+        raise ValueError(f"k={k} out of range 2..{g.n}")
 
-    Sets of size <= 1 count as trivially connected.
+
+def _in_one_tree(coloring: _Coloring, s: int) -> bool:
+    """Does one certifying tree of the coloring contain every vertex of mask s?
+
+    Size <= 1 is trivially true, and so is an adjacent pair: the one-edge
+    tree has no internal vertex, and in an edge coloring the edge's own
+    color holds it. Everything else is the cover check of the module
+    docstring.
     """
-    if s.bit_count() <= 1:
+    g = coloring.graph
+    size = s.bit_count()
+    if size <= 1 or size == 2 and g.adj[(s & -s).bit_length() - 1] & s:
         return True
-    return any(comp & s == s for comp in _mono_component_masks(ec.graph.edges, ec.colors))
+    return any(cover & s == s for cover in coloring._covers(g, coloring.colors))
+
+
+def mono_stree_exists(ec: EdgeColoring, s: int) -> bool:
+    """Is there a tree of one edge color containing every vertex of mask s?"""
+    return _in_one_tree(ec, s)
 
 
 def vertex_mono_tree_exists(vc: VertexColoring, s: int) -> bool:
-    """Is there a tree containing mask s whose internal vertices share a color?
+    """Is there a tree containing mask s whose internal vertices share a color?"""
+    return _in_one_tree(vc, s)
 
-    Size <= 1 is trivially true; an adjacent pair is covered by the one-edge
-    tree, which has no internal vertices. Everything else reduces to the
-    component-coverage check described in the module docstring.
+
+def _verify(coloring: _Coloring, k: int) -> bool:
+    """Does every k-set of vertices lie in one cover of the coloring?
+
+    Refuses, before the first k-set is made, when C(n, k) exceeds
+    MAX_VERIFY_SUBSETS.
     """
-    size = s.bit_count()
-    if size <= 1:
-        return True
-    if size == 2:
-        u = (s & -s).bit_length() - 1
-        if vc.graph.adj[u] & s:
-            return True
-    return any(cover & s == s for cover in _mono_cover_masks(vc))
+    g = coloring.graph
+    _check_index_args(g, k)
+    if comb(g.n, k) > MAX_VERIFY_SUBSETS:
+        raise BudgetError(
+            f"C({g.n},{k}) vertex subsets exceed the verifier budget of {MAX_VERIFY_SUBSETS}"
+        )
+    return _all_covered(_coverage_targets(g, k), coloring._covers(g, coloring.colors))
 
 
 def verify_mx_coloring(ec: EdgeColoring, k: int) -> bool:
     """Does every k-set of vertices admit a monochromatic tree containing it?"""
-    g = ec.graph
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
-    if not is_connected(g):
-        raise ValueError("validity is only defined for connected graphs")
-    return _all_covered(_coverage_targets(g, k), _mono_component_masks(g.edges, ec.colors))
+    return _verify(ec, k)
 
 
 def verify_mvx_coloring(vc: VertexColoring, k: int) -> bool:
     """Vertex analogue of verify_mx_coloring."""
-    g = vc.graph
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
-    if not is_connected(g):
-        raise ValueError("validity is only defined for connected graphs")
-    return _all_covered(_coverage_targets(g, k), _mono_cover_masks(vc))
+    return _verify(vc, k)
+
+
+def _max_valid_partition(g: Graph, k: int, size: int, start: int, covers):
+    """The largest t <= start, with its coloring, such that some partition of
+    ``size`` elements into t classes is valid at k.
+
+    Scans t downward: merging two classes of a valid coloring keeps it valid,
+    so feasibility is downward closed in t and the first feasible t is the
+    maximum. Partitions come as restricted growth strings, one per
+    relabeling class, and ``covers(g, colors)`` gives the masks that certify
+    a k-set. Callers check the arguments and their budget first.
+    """
+    subsets = tuple(_coverage_targets(g, k))
+    for t in range(start, 0, -1):
+        for colors in set_partitions_with_blocks(size, t):
+            if _all_covered(subsets, covers(g, colors)):
+                return t, colors
+    raise RuntimeError("unreachable: one color is always valid on a connected graph")
 
 
 def normalize_to_forest(ec: EdgeColoring, k: int) -> EdgeColoring:

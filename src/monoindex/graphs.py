@@ -211,34 +211,13 @@ def bfs_tree(g: Graph, root: int, within: int | None = None) -> list[tuple[int, 
 
 
 def cut_vertices(g: Graph) -> int:
-    """Mask of the vertices whose removal disconnects g (lowpoint DFS)."""
+    """Mask of the vertices whose removal disconnects g."""
     if not is_connected(g):
         raise ValueError("cut vertices are only computed for connected graphs")
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    result = 0
-    timer = 0
-
-    def dfs(u: int, parent: int):
-        nonlocal result, timer
-        disc[u] = low[u] = timer
-        timer += 1
-        children = 0
-        for v in iter_bits(g.adj[u]):
-            if disc[v] == -1:
-                children += 1
-                dfs(v, u)
-                low[u] = min(low[u], low[v])
-                if parent != -1 and low[v] >= disc[u]:
-                    result |= 1 << u
-            elif v != parent:
-                low[u] = min(low[u], disc[v])
-        if parent == -1 and children > 1:
-            result |= 1 << u
-
-    dfs(0, -1)
-    return result
+    full = g.full_mask
+    return mask_from(
+        v for v in range(g.n) if len(connected_components(g, full & ~(1 << v))) > 1
+    )
 
 
 def diameter(g: Graph) -> int:

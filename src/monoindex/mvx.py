@@ -19,9 +19,9 @@ from math import comb
 
 from .coloring import (
     VertexColoring,
-    _all_covered,
-    _cover_masks,
-    _coverage_targets,
+    _check_index_args,
+    _max_valid_partition,
+    _vertex_covers,
     verify_mvx_coloring,
 )
 from .graphs import (
@@ -35,7 +35,6 @@ from .graphs import (
     iter_bits,
     mask_from,
 )
-from .partitions import set_partitions_with_blocks
 
 MAX_TREE_SUBSETS = 10_000_000
 MAX_DOMINATION_VERTICES = 20
@@ -210,10 +209,7 @@ def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
     The witness colors the internal vertices of a max-leaf spanning tree with
     one color and every leaf with a fresh one.
     """
-    if not is_connected(g):
-        raise ValueError("the index is defined for connected graphs only")
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
+    _check_index_args(g, k)
     if not cut_vertices(g):
         raise ValueError("not applicable: the graph has no cut vertex")
     tree = _max_leaf_tree(g)
@@ -230,29 +226,17 @@ def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
 def mvx_exact(g: Graph, k: int, max_vertices: int = MAX_EXACT_VERTICES) -> MvxResult:
     """Maximum color count over all vertex partitions that stay valid at k.
 
-    Scans counts downward starting from the diameter bound n - diam + 2
-    (merging classes preserves validity, so feasibility is downward closed
-    and the first feasible count is the maximum).
+    The descending partition search starts from the diameter bound
+    n - diam + 2, capped at n.
     """
-    if not is_connected(g):
-        raise ValueError("the index is defined for connected graphs only")
+    _check_index_args(g, k)
     n = g.n
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} out of range 2..{n}")
     if n > max_vertices:
         raise BudgetError(
             f"partition search over {n} vertices exceeds the budget of {max_vertices}"
         )
-    subsets = tuple(_coverage_targets(g, k))
-    start = min(n, n - diameter(g) + 2)
-    for t in range(start, 0, -1):
-        for colors in set_partitions_with_blocks(n, t):
-            class_masks = [0] * t
-            for v, c in enumerate(colors):
-                class_masks[c] |= 1 << v
-            if _all_covered(subsets, _cover_masks(g, class_masks)):
-                return MvxResult(t, VertexColoring(g, colors), k, "exact-search")
-    raise RuntimeError("unreachable: one color is always valid on a connected graph")
+    t, colors = _max_valid_partition(g, k, n, min(n, n - diameter(g) + 2), _vertex_covers)
+    return MvxResult(t, VertexColoring(g, colors), k, "exact-search")
 
 
 def cycle_mvc_formula(n: int) -> int:

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 from .coloring import (
     EdgeColoring,
-    _all_covered,
-    _coverage_targets,
-    _mono_component_masks,
+    _check_index_args,
+    _edge_covers,
+    _max_valid_partition,
     color_classes,
     verify_mx_coloring,
 )
 from .graphs import BudgetError, Graph, bfs_tree, edge_forest, is_connected
-from .partitions import set_partitions_with_blocks
 
 MAX_BRUTEFORCE_EDGES = 10
 
@@ -34,8 +33,7 @@ class MxResult:
 
 def mx_k_formula(g: Graph, k: int) -> int:
     """m - n + 2, valid for 3 <= k <= n on connected graphs with n >= 3."""
-    if not is_connected(g):
-        raise ValueError("the closed form applies to connected graphs only")
+    _check_index_args(g, k)
     if g.n < 3:
         raise ValueError("the closed form needs n >= 3")
     if k < 3:
@@ -43,8 +41,6 @@ def mx_k_formula(g: Graph, k: int) -> int:
             "the closed form covers 3 <= k <= n only; for k=2 the index can "
             "exceed m-n+2, use mx_exact_bruteforce"
         )
-    if k > g.n:
-        raise ValueError(f"k={k} exceeds the vertex count {g.n}")
     return g.m - g.n + 2
 
 
@@ -118,24 +114,13 @@ def simplify_coloring(ec: EdgeColoring, k: int) -> EdgeColoring:
 def mx_exact_bruteforce(g: Graph, k: int, max_edges: int = MAX_BRUTEFORCE_EDGES) -> MxResult:
     """Maximum color count over all edge partitions that stay valid at k.
 
-    Scans candidate color counts downward: merging two classes of a valid
-    coloring keeps it valid, so feasibility is downward closed in the class
-    count and the first feasible count is the maximum. Partitions come as
-    restricted growth strings, one per relabeling class.
+    The descending partition search starts from m colors.
     """
-    if not is_connected(g):
-        raise ValueError("the index is defined for connected graphs only")
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 2..{g.n}")
+    _check_index_args(g, k)
     m = g.m
     if m > max_edges:
         raise BudgetError(
             f"partition search over {m} edges exceeds the budget of {max_edges}"
         )
-    subsets = tuple(_coverage_targets(g, k))
-    edges = g.edges
-    for t in range(m, 0, -1):
-        for colors in set_partitions_with_blocks(m, t):
-            if _all_covered(subsets, _mono_component_masks(edges, colors)):
-                return MxResult(t, EdgeColoring(g, colors), k)
-    raise RuntimeError("no valid coloring found; this is a bug")  # t=1 always valid
+    t, colors = _max_valid_partition(g, k, m, m, _edge_covers)
+    return MxResult(t, EdgeColoring(g, colors), k)

@@ -10,26 +10,6 @@ loops consume these streams directly.
 from __future__ import annotations
 
 
-def set_partitions(n: int):
-    """All set partitions of range(n), in lexicographic RGS order."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-
-    def rec(i: int, mx: int):
-        if i == n:
-            yield tuple(a)
-            return
-        for b in range(mx + 2):
-            a[i] = b
-            yield from rec(i + 1, mx if b <= mx else b)
-
-    yield from rec(1, 0)
-
-
 def set_partitions_with_blocks(n: int, blocks: int):
     """Set partitions of range(n) with exactly ``blocks`` blocks.
 

@@ -30,7 +30,6 @@ from .graphs import (
     cycle_graph,
     enumerate_connected_graphs,
     is_connected,
-    parse_graph6,
     path_graph,
     to_graph6,
 )
@@ -94,9 +93,8 @@ def upper_bound_applies(n: int, k: int) -> bool:
     return n >= 5 and k >= (n + 1) // 2
 
 
-def _mvx_task(g6: str) -> tuple[str, tuple[int, ...]]:
-    g = parse_graph6(g6)
-    return g6, tuple(mvx_exact(g, k).value for k in range(3, g.n + 1))
+def _mvx_values(g: Graph) -> tuple[int, ...]:
+    return tuple(mvx_exact(g, k).value for k in range(3, g.n + 1))
 
 
 def survey_bounds(n: int, include_n8: bool = False, jobs: int = 1) -> list[SurveyRecord]:
@@ -110,30 +108,24 @@ def survey_bounds(n: int, include_n8: bool = False, jobs: int = 1) -> list[Surve
         raise ValueError(f"survey covers 4 <= n <= 8, got n={n}")
     if n > DEFAULT_SURVEY_CEILING and not include_n8:
         raise BudgetError("n = 8 takes minutes of exact search; pass include_n8=True")
+    if jobs < 1:
+        raise ValueError(f"jobs (survey --threads) must be at least 1, got {jobs}")
+    # Enumeration output is canonical, and the complement of a co-connected
+    # graph is co-connected, so each complement's class is one of these.
     graphs = list(enumerate_coconnected(n))
-    # one task per isomorphism class: each graph and each complement, deduped
-    tasks: set[str] = set()
-    for g in graphs:
-        tasks.add(to_graph6(g))  # enumeration output is already canonical
-        tasks.add(to_graph6(canonical_form(complement(g))))
-    task_list = sorted(tasks)
     if jobs > 1:
         with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_mvx_task, task_list)
+            results = pool.map(_mvx_values, graphs)
     else:
-        results = [_mvx_task(g6) for g6 in task_list]
-    values = {g6: vals for g6, vals in results}
-
-    def mvx_values(h: Graph) -> tuple[int, ...]:
-        return values[to_graph6(canonical_form(h))]
+        results = [_mvx_values(g) for g in graphs]
+    g6s = [to_graph6(g) for g in graphs]
+    values = dict(zip(g6s, results))
 
     records = []
-    for g in graphs:
+    for g, g6, vals_g in zip(graphs, g6s, results):
         gbar = complement(g)
-        g6 = to_graph6(g)
         g6bar = to_graph6(gbar)
-        vals_g = mvx_values(g)
-        vals_gbar = mvx_values(gbar)
+        vals_gbar = values[to_graph6(canonical_form(gbar))]
         for k in range(3, n + 1):
             a, b = vals_g[k - 3], vals_gbar[k - 3]
             lower = expected_lower_bound(n, k) if n >= 5 else None

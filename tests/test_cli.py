@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from monoindex import cli
+from monoindex import cli, survey
 from monoindex.cli import main
 from monoindex.coloring import (
     EdgeColoring,
@@ -190,3 +192,22 @@ class TestErrors:
         monkeypatch.setattr(cli, "survey_bounds", no_survey)
         code, out, err = run_cli(capsys, "survey", "--n", "4", "--k", k)
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_survey_threads_below_one(self, capsys, monkeypatch, threads):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("survey enumerated despite --threads below 1")
+
+        monkeypatch.setattr(survey, "enumerate_coconnected", no_enumeration)
+        code, out, err = run_cli(capsys, "survey", "--n", "4", "--threads", threads)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_verify_beyond_budget_exits_2_quickly(self, capsys, tmp_path):
+        # C(40, 20) is about 1.4e11 k-sets; the verifier must refuse, not scan
+        p40 = path_graph(40)
+        cert = tmp_path / "cert.txt"
+        cert.write_text(write_coloring_certificate(EdgeColoring(p40, (0,) * p40.m)))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--coloring", str(cert), "--k", "20")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err.startswith("error:") and "budget" in err

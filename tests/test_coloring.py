@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from monoindex import coloring
 from monoindex.coloring import (
     EdgeColoring,
     VertexColoring,
@@ -15,6 +16,7 @@ from monoindex.coloring import (
     write_coloring_certificate,
 )
 from monoindex.graphs import (
+    BudgetError,
     complement,
     complete_graph,
     cycle_graph,
@@ -65,6 +67,19 @@ class TestColoringTypes:
         assert ec.colors == (0, 1, 0)
         vc = VertexColoring(g, (0, 1, 2, 3)).merged(1, 3)
         assert vc.colors == (0, 1, 2, 1)
+
+
+    def test_kinds_stay_apart(self):
+        c4 = cycle_graph(4)  # four edges and four vertices
+        ec = EdgeColoring(c4, (0, 1, 0, 2))
+        vc = VertexColoring(c4, (0, 1, 0, 2))
+        assert ec != vc
+        assert type(ec.renumbered()) is EdgeColoring
+        assert type(vc.merged(1, 2)) is VertexColoring
+        with pytest.raises(ValueError, match="vertices"):
+            VertexColoring(path_graph(3), (0, 1))
+        with pytest.raises(ValueError, match="edges"):
+            EdgeColoring(path_graph(3), (0,))
 
 
 class TestColorClasses:
@@ -162,6 +177,18 @@ class TestVerifiers:
             verify_mx_coloring(ec, 1)
         with pytest.raises(ValueError):
             verify_mx_coloring(ec, 5)
+
+    def test_subset_budget(self, monkeypatch):
+        # C(5, 3) = 10 k-sets: refused below that budget, scanned at it
+        ec = spanning_path_coloring_c5()
+        vc = all_distinct_vertices(complete_graph(5))
+        monkeypatch.setattr(coloring, "MAX_VERIFY_SUBSETS", 9)
+        with pytest.raises(BudgetError):
+            verify_mx_coloring(ec, 3)
+        with pytest.raises(BudgetError):
+            verify_mvx_coloring(vc, 3)
+        monkeypatch.setattr(coloring, "MAX_VERIFY_SUBSETS", 10)
+        assert verify_mx_coloring(ec, 3) and verify_mvx_coloring(vc, 3)
 
     def test_merge_monotone_smoke(self):
         # detailed randomized sweep lives in the acceptance suite

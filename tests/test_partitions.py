@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monoindex.partitions import set_partitions, set_partitions_with_blocks
+from monoindex.partitions import set_partitions_with_blocks
 
 
 def bell(n: int) -> int:
@@ -36,9 +38,15 @@ def is_rgs(a) -> bool:
     return not a or a[0] == 0
 
 
-@given(st.integers(0, 8))
+def all_streams(n: int) -> list[tuple[int, ...]]:
+    """The streams for blocks = 1..n, concatenated."""
+    return [p for k in range(1, n + 1) for p in set_partitions_with_blocks(n, k)]
+
+
+@given(st.integers(1, 8))
 def test_counts_match_bell(n):
-    assert sum(1 for _ in set_partitions(n)) == bell(n)
+    parts = all_streams(n)
+    assert len(set(parts)) == len(parts) == bell(n)
 
 
 @given(st.integers(1, 8))
@@ -50,22 +58,23 @@ def test_exact_block_counts_match_stirling(n):
 
 
 def test_all_are_valid_rgs_and_unique():
-    parts = list(set_partitions(6))
+    parts = all_streams(6)
     assert all(is_rgs(p) for p in parts)
     assert len(set(parts)) == len(parts)
-    assert parts == sorted(parts)  # lexicographic emission
 
 
 def test_restricted_stream_is_a_subsequence():
-    whole = list(set_partitions(6))
+    # independent reference: every RGS of length 6, filtered from all tuples
+    whole = [p for p in itertools.product(range(6), repeat=6) if is_rgs(p)]
     for k in range(1, 7):
         sub = list(set_partitions_with_blocks(6, k))
+        assert all(a < b for a, b in zip(sub, sub[1:]))  # strictly lexicographic
         assert sub == [p for p in whole if max(p) + 1 == k]
 
 
 def test_errors():
     with pytest.raises(ValueError):
-        list(set_partitions(-1))
+        list(set_partitions_with_blocks(0, 1))
     with pytest.raises(ValueError):
         list(set_partitions_with_blocks(3, 0))
     with pytest.raises(ValueError):

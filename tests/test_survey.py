@@ -116,6 +116,11 @@ class TestSurvey:
     def test_jobs_do_not_change_output(self):
         assert survey_csv_text(survey_bounds(5, jobs=2)) == survey_csv_text(survey_bounds(5))
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            survey_bounds(4, jobs=jobs)
+
     def test_n8_gated(self):
         from monoindex.graphs import BudgetError
 
