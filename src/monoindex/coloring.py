@@ -54,20 +54,39 @@ def _renumber(colors: tuple[int, ...]) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class _Coloring:
     """A total assignment of a color id to every element (edge or vertex) of
-    ``graph``. Subclasses name the element count and the cover masks of
-    their kind; equality holds only between colorings of the same kind."""
+    ``graph``. Subclasses name their kind, their elements (vertex tuples, in
+    the order ``colors`` follows) and the cover masks of their kind;
+    equality holds only between colorings of the same kind."""
 
     graph: Graph
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        size = self._size(self.graph)
+        size = len(self._elements(self.graph))
         if len(self.colors) != size:
             raise ValueError(
-                f"coloring covers {len(self.colors)} {self._elements}, graph has {size}"
+                f"coloring covers {len(self.colors)} {self._noun}, graph has {size}"
             )
         if any(c < 0 for c in self.colors):
             raise ValueError("color ids must be non-negative")
+
+    @classmethod
+    def from_map(cls, graph: Graph, mapping):
+        """Build from ``{element: color}``; each key is a vertex tuple, in
+        any order, naming one element of the graph, and every element needs
+        a color."""
+        elements = cls._elements(graph)
+        index = {e: i for i, e in enumerate(elements)}
+        colors = [None] * len(elements)
+        for key, c in mapping.items():
+            key = tuple(sorted(key))
+            if key not in index:
+                raise ValueError(f"'{' '.join(map(str, key))}' names no {cls._kind} of the graph")
+            colors[index[key]] = c
+        missing = [e for e, c in zip(elements, colors) if c is None]
+        if missing:
+            raise ValueError(f"{cls._noun} without a color: {missing}")
+        return cls(graph, tuple(colors))
 
     @property
     def num_colors(self) -> int:
@@ -115,30 +134,18 @@ def _vertex_covers(g: Graph, colors) -> list[int]:
 class EdgeColoring(_Coloring):
     """``colors[i]`` is the color of ``graph.edges[i]``."""
 
-    _elements = "edges"
-    _size = staticmethod(lambda g: g.m)
+    _kind = "edge"
+    _noun = "edges"
+    _elements = staticmethod(lambda g: g.edges)
     _covers = staticmethod(_edge_covers)
-
-    @classmethod
-    def from_map(cls, graph: Graph, mapping) -> "EdgeColoring":
-        colors = [-1] * graph.m
-        for (u, v), c in mapping.items():
-            if u > v:
-                u, v = v, u
-            if (u, v) not in graph.edge_index:
-                raise ValueError(f"{u}-{v} is not an edge of the graph")
-            colors[graph.edge_index[(u, v)]] = c
-        if any(c < 0 for c in colors):
-            missing = [e for e, i in graph.edge_index.items() if colors[i] < 0]
-            raise ValueError(f"edges without a color: {missing}")
-        return cls(graph, tuple(colors))
 
 
 class VertexColoring(_Coloring):
     """``colors[v]`` is the color of vertex v."""
 
-    _elements = "vertices"
-    _size = staticmethod(lambda g: g.n)
+    _kind = "vertex"
+    _noun = "vertices"
+    _elements = staticmethod(lambda g: [(v,) for v in range(g.n)])
     _covers = staticmethod(_vertex_covers)
 
     def class_mask(self, color: int) -> int:
@@ -337,53 +344,37 @@ def write_coloring_certificate(coloring: EdgeColoring | VertexColoring) -> str:
     Layout: a ``type`` line (edge or vertex), a ``graph6`` line, then one
     ``element -> color`` line per edge or vertex, in ascending order.
     """
-    lines = []
-    if isinstance(coloring, EdgeColoring):
-        lines.append("type: edge")
-        lines.append(f"graph6: {to_graph6(coloring.graph)}")
-        for (u, v), c in zip(coloring.graph.edges, coloring.colors):
-            lines.append(f"{u} {v} -> {c}")
-    else:
-        lines.append("type: vertex")
-        lines.append(f"graph6: {to_graph6(coloring.graph)}")
-        for v, c in enumerate(coloring.colors):
-            lines.append(f"{v} -> {c}")
+    lines = [f"type: {coloring._kind}", f"graph6: {to_graph6(coloring.graph)}"]
+    for element, c in zip(coloring._elements(coloring.graph), coloring.colors):
+        lines.append(f"{' '.join(map(str, element))} -> {c}")
     return "\n".join(lines) + "\n"
 
 
 def parse_coloring_certificate(text: str) -> EdgeColoring | VertexColoring:
+    """Read a certificate; each edge or vertex of the graph must appear once."""
+    kinds = {cls._kind: cls for cls in (EdgeColoring, VertexColoring)}
     kind = None
     graph = None
-    assignments: list[tuple[list[int], int]] = []
+    mapping: dict[tuple[int, ...], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("type:"):
-            kind = line.split(":", 1)[1].strip()
-            if kind not in ("edge", "vertex"):
-                raise ValueError(f"line {lineno}: unknown certificate type {kind!r}")
+            word = line.split(":", 1)[1].strip()
+            if word not in kinds:
+                raise ValueError(f"line {lineno}: unknown certificate type {word!r}")
+            kind = kinds[word]
         elif line.startswith("graph6:"):
             graph = parse_graph6(line.split(":", 1)[1].strip())
         elif "->" in line:
             left, right = line.split("->", 1)
-            assignments.append(([int(t) for t in left.split()], int(right)))
+            element = tuple(sorted(int(t) for t in left.split()))
+            if element in mapping:
+                raise ValueError(f"line {lineno}: {left.strip()} is named twice")
+            mapping[element] = int(right)
         else:
             raise ValueError(f"line {lineno}: unrecognized certificate line {line!r}")
     if kind is None or graph is None:
         raise ValueError("certificate needs both a 'type:' and a 'graph6:' line")
-    if kind == "edge":
-        mapping = {}
-        for element, c in assignments:
-            if len(element) != 2:
-                raise ValueError(f"edge certificate line does not name two vertices: {element}")
-            mapping[tuple(element)] = c
-        return EdgeColoring.from_map(graph, mapping)
-    colors = [-1] * graph.n
-    for element, c in assignments:
-        if len(element) != 1:
-            raise ValueError(f"vertex certificate line does not name one vertex: {element}")
-        colors[element[0]] = c
-    if any(c < 0 for c in colors):
-        raise ValueError("vertex certificate leaves vertices uncolored")
-    return VertexColoring(graph, tuple(colors))
+    return kind.from_map(graph, mapping)

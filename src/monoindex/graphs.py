@@ -15,6 +15,9 @@ from functools import cached_property, lru_cache
 GRAPH6_MAX_VERTICES = 62
 GRAPH6_HEADER = ">>graph6<<"
 ENUMERATION_MAX_VERTICES = 8
+# largest n an edge-list header may announce; rows are n-bit ints, so a
+# larger n costs memory and time before any edge is read
+EDGE_LIST_MAX_VERTICES = 10_000
 
 
 class Graph6Error(ValueError):
@@ -334,6 +337,8 @@ def parse_edge_list(text: str) -> Graph:
     except ValueError as exc:
         raise ValueError(f"edge list contains a non-integer token: {exc}") from None
     n, m = numbers[0], numbers[1]
+    if n > EDGE_LIST_MAX_VERTICES:
+        raise ValueError(f"edge list announces {n} vertices; the cap is {EDGE_LIST_MAX_VERTICES}")
     if len(numbers) != 2 + 2 * m:
         raise ValueError(f"edge list announces {m} edges but carries {(len(numbers) - 2) / 2}")
     pairs = list(zip(numbers[2::2], numbers[3::2]))

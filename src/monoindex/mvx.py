@@ -274,79 +274,29 @@ def diameter_upper_bound(g: Graph) -> int:
     return g.n - diameter(g) + 2
 
 
-def _mono_path(g: Graph, class_mask: int, a: int, b: int) -> list[int] | None:
-    """Shortest a-b path whose internal vertices all lie in class_mask."""
-    allowed = class_mask | 1 << a | 1 << b
-    prev = {a: -1}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in iter_bits(g.adj[u] & allowed):
-                if v in prev:
-                    continue
-                prev[v] = u
-                if v == b:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(v)
-        frontier = nxt
-    return None
-
-
 def extract_mono_spanning_tree(vc: VertexColoring, v0: int) -> SpanningTreeResult:
-    """Grow a spanning tree whose internal vertices all wear v0's color.
+    """A spanning tree whose internal vertices all wear v0's color c.
 
-    Needs a cut vertex v0 and a coloring that is valid at k = 2. Every path
-    between different components of G - v0 runs through v0, so its internal
-    color is forced to v0's color c; the tree starts from one such path and
-    repeatedly splices in the outer pieces of further c-internal paths, glued
-    at their first and last vertices already in the tree.
+    Needs a cut vertex v0 and a coloring that is valid at k = 2. Each vertex
+    pairs with a vertex in another component of G - v0, and every path
+    between them runs through v0, so the certifying path's internal vertices
+    lie in A, the component of color class c that holds v0. Hence A
+    dominates G, and the tree is the BFS tree of A with every other vertex
+    hung off it as a leaf.
     """
     g = vc.graph
     if not cut_vertices(g) >> v0 & 1:
         raise ValueError(f"vertex {v0} is not a cut vertex")
     if not verify_mvx_coloring(vc, 2):
         raise ValueError("the coloring is not valid at k=2")
-    c = vc.colors[v0]
-    class_mask = vc.class_mask(c)
-    comps = connected_components(g, g.full_mask & ~(1 << v0))
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in iter_bits(comp):
-            comp_of[v] = ci
-
-    def other_component(v: int) -> int:
-        for u in sorted(comp_of):
-            if comp_of[u] != comp_of[v]:
-                return u
-        raise RuntimeError("unreachable: a cut vertex leaves >= 2 components")
-
-    v_i = min(comp_of)
-    v_j = other_component(v_i)
-    path = _mono_path(g, class_mask, v_i, v_j)
-    if path is None:
-        raise RuntimeError("no internally monochromatic path despite a valid coloring")
-    tree_edges = {tuple(sorted(e)) for e in zip(path, path[1:])}
-    in_tree = mask_from(path)
-    while in_tree != g.full_mask:
-        v_s = ((g.full_mask & ~in_tree) & -(g.full_mask & ~in_tree)).bit_length() - 1
-        v_t = other_component(v_s)
-        path = _mono_path(g, class_mask, v_s, v_t)
-        if path is None:
-            raise RuntimeError("no internally monochromatic path despite a valid coloring")
-        first = next(i for i, v in enumerate(path) if in_tree >> v & 1)
-        last = max(i for i, v in enumerate(path) if in_tree >> v & 1)
-        for seg in (path[: first + 1], path[last:]):
-            tree_edges.update(tuple(sorted(e)) for e in zip(seg, seg[1:]))
-            in_tree |= mask_from(seg)
-    edges = tuple(sorted(tree_edges))
-    if len(edges) != g.n - 1:
-        raise RuntimeError("splicing produced a non-tree; this is a bug")
-    deg = _degrees(g.n, edges)
-    if any(vc.colors[v] != c for v in range(g.n) if deg[v] >= 2):
-        raise RuntimeError("tree has an internal vertex of the wrong color; this is a bug")
-    return SpanningTreeResult(edges, deg.count(1))
+    core = next(
+        comp
+        for comp in connected_components(g, vc.class_mask(vc.colors[v0]))
+        if comp >> v0 & 1
+    )
+    closed = core
+    for v in iter_bits(core):
+        closed |= g.adj[v]
+    if closed != g.full_mask:
+        raise RuntimeError("v0's color component does not dominate the graph; this is a bug")
+    return _tree_from_core(g, core, v0)

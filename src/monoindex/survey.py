@@ -23,14 +23,11 @@ from multiprocessing import get_context
 from .graphs import (
     BudgetError,
     Graph,
-    canonical_code,
     canonical_form,
     complement,
     complete_bipartite_graph,
-    cycle_graph,
     enumerate_connected_graphs,
     is_connected,
-    path_graph,
     to_graph6,
 )
 from .mvx import _mod4_threshold, connected_domination_number, mvx_exact
@@ -186,20 +183,14 @@ def build_near_complete_bipartite(n1: int, n2: int) -> Graph:
 def locate_F1() -> list[Graph]:
     """Six-vertex co-connected graphs with connected domination 3 on both sides.
 
-    Cycles and paths and their complements are excluded explicitly (their
-    domination numbers rule them out anyway); the survey's bound landscape
-    says the remainder should be exactly one complementary pair. If the
-    search ever returned more, all of them are reported rather than guessed
-    among.
+    Cycles and paths and their complements drop out by domination: C6 and
+    P6 have connected domination number 4, their complements 2. The
+    survey's bound landscape says the remainder should be exactly one
+    complementary pair. If the search ever returned more, all of them are
+    reported rather than guessed among.
     """
-    excluded = set()
-    for special in (cycle_graph(6), path_graph(6)):
-        excluded.add(canonical_code(special))
-        excluded.add(canonical_code(complement(special)))
     out = []
     for g in enumerate_coconnected(6):
-        if canonical_code(g) in excluded:
-            continue
         if connected_domination_number(g) == 3 and connected_domination_number(complement(g)) == 3:
             out.append(g)
     return out

@@ -211,3 +211,25 @@ class TestErrors:
         code, out, err = run_cli(capsys, "verify", "--coloring", str(cert), "--k", "20")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == "" and err.startswith("error:") and "budget" in err
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["type: vertex", "0 -> 0", "1 -> 0", "2 -> 0", "-1 -> 1"], "names no vertex"),
+            (["type: vertex", "0 -> 0", "1 -> 0", "2 -> 0", "7 -> 1"], "names no vertex"),
+            (["type: edge", "0 1 -> 0", "0 2 -> 0", "1 2 -> 0", "0 1 -> 1"], "line 6"),
+        ],
+    )
+    def test_bad_certificate_element(self, capsys, tmp_path, lines, message):
+        cert = tmp_path / "cert.txt"
+        cert.write_text("\n".join(["graph6: Bw", *lines]) + "\n")
+        code, out, err = run_cli(capsys, "verify", "--coloring", str(cert), "--k", "3")
+        assert code == 2 and out == "" and err.startswith("error:") and message in err
+
+    def test_edge_list_beyond_vertex_cap_exits_2_quickly(self, capsys, tmp_path):
+        graph = tmp_path / "huge.txt"
+        graph.write_text("3000000 0\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "mvx", "--graph", str(graph), "--k", "2", "--bound")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err.startswith("error:")

@@ -251,3 +251,15 @@ class TestCertificates:
             parse_coloring_certificate("type: banana\ngraph6: Ch\n")
         with pytest.raises(ValueError):
             parse_coloring_certificate("type: vertex\ngraph6: Ch\n0 -> 0\n")  # partial
+
+    @pytest.mark.parametrize("line", ["-1 -> 1", "7 -> 1"])
+    def test_vertex_outside_graph(self, line):
+        # Bw is the triangle; vertices are 0, 1 and 2
+        text = f"type: vertex\ngraph6: Bw\n0 -> 0\n1 -> 0\n2 -> 0\n{line}\n"
+        with pytest.raises(ValueError, match="names no vertex"):
+            parse_coloring_certificate(text)
+
+    def test_element_named_twice(self):
+        text = "type: edge\ngraph6: Bw\n0 1 -> 0\n0 2 -> 0\n1 2 -> 0\n1 0 -> 1\n"
+        with pytest.raises(ValueError, match="line 6"):
+            parse_coloring_certificate(text)

@@ -6,9 +6,11 @@ from monoindex.graphs import (
     Graph,
     complement,
     complete_graph,
+    cut_vertices,
     cycle_graph,
     enumerate_connected_graphs,
     from_edges,
+    iter_bits,
     path_graph,
     star_graph,
 )
@@ -24,6 +26,9 @@ from monoindex.mvx import (
     mvx_n_formula,
     mvx_via_cut_vertex,
 )
+from monoindex.partitions import set_partitions_with_blocks
+
+import oracles
 
 
 def bowtie() -> Graph:
@@ -189,6 +194,36 @@ class TestExtraction:
         p6 = path_graph(6)
         with pytest.raises(ValueError):
             extract_mono_spanning_tree(VertexColoring(p6, tuple(range(6))), 2)
+
+    def test_every_valid_coloring_small_graphs(self):
+        # every connected graph with n <= 6, every coloring valid at k=2 and
+        # every cut vertex: a spanning tree of g whose internal vertices wear
+        # v0's color, so every vertex of another color is a leaf
+        cases = 0
+        for n in range(3, 7):
+            partitions = [
+                colors for t in range(1, n + 1) for colors in set_partitions_with_blocks(n, t)
+            ]
+            for g in enumerate_connected_graphs(n):
+                cuts = cut_vertices(g)
+                if not cuts:
+                    continue
+                for colors in partitions:
+                    vc = VertexColoring(g, colors)
+                    if not verify_mvx_coloring(vc, 2):
+                        continue
+                    for v0 in iter_bits(cuts):
+                        cases += 1
+                        res = extract_mono_spanning_tree(vc, v0)
+                        assert len(res.edges) == n - 1 and set(res.edges) <= set(g.edges)
+                        adj = oracles.adjacency_dict(from_edges(n, res.edges))
+                        assert oracles.reachable(adj, 0, set(range(n))) == set(range(n))
+                        deg = [sum(v in e for e in res.edges) for v in range(n)]
+                        c = colors[v0]
+                        assert all(colors[v] == c for v in range(n) if deg[v] >= 2)
+                        assert res.leaf_count == deg.count(1)
+                        assert res.leaf_count >= sum(1 for x in colors if x != c)
+        assert cases == 6622
 
     def test_extremal_coloring_reaches_max_leaves(self):
         # on every small cut-vertex graph, extraction from an extremal
