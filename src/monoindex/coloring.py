@@ -278,20 +278,19 @@ def verify_mvx_coloring(vc: VertexColoring, k: int) -> bool:
     return _verify(vc, k)
 
 
-def _max_valid_partition(g: Graph, k: int, size: int, start: int, covers):
-    """The largest t <= start, with its coloring, such that some partition of
-    ``size`` elements into t classes is valid at k.
+def _max_valid_partition(g: Graph, k: int):
+    """The largest t, with its coloring, such that some partition of the
+    edges into t classes is valid at k.
 
-    Scans t downward: merging two classes of a valid coloring keeps it valid,
-    so feasibility is downward closed in t and the first feasible t is the
-    maximum. Partitions come as restricted growth strings, one per
-    relabeling class, and ``covers(g, colors)`` gives the masks that certify
-    a k-set. Callers check the arguments and their budget first.
+    Scans t downward from m: merging two classes of a valid coloring keeps
+    it valid, so feasibility is downward closed in t and the first feasible
+    t is the maximum. Partitions come as restricted growth strings, one per
+    relabeling class. Callers check the arguments and their budget first.
     """
     subsets = tuple(_coverage_targets(g, k))
-    for t in range(start, 0, -1):
-        for colors in set_partitions_with_blocks(size, t):
-            if _all_covered(subsets, covers(g, colors)):
+    for t in range(g.m, 0, -1):
+        for colors in set_partitions_with_blocks(g.m, t):
+            if _all_covered(subsets, _edge_covers(g, colors)):
                 return t, colors
     raise RuntimeError("unreachable: one color is always valid on a connected graph")
 
@@ -350,6 +349,13 @@ def write_coloring_certificate(coloring: EdgeColoring | VertexColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_token(token: str, field: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {field} {token!r} is not an integer") from None
+
+
 def parse_coloring_certificate(text: str) -> EdgeColoring | VertexColoring:
     """Read a certificate; each edge or vertex of the graph must appear once."""
     kinds = {cls._kind: cls for cls in (EdgeColoring, VertexColoring)}
@@ -369,10 +375,10 @@ def parse_coloring_certificate(text: str) -> EdgeColoring | VertexColoring:
             graph = parse_graph6(line.split(":", 1)[1].strip())
         elif "->" in line:
             left, right = line.split("->", 1)
-            element = tuple(sorted(int(t) for t in left.split()))
+            element = tuple(sorted(_int_token(t, "vertex", lineno) for t in left.split()))
             if element in mapping:
                 raise ValueError(f"line {lineno}: {left.strip()} is named twice")
-            mapping[element] = int(right)
+            mapping[element] = _int_token(right.strip(), "color", lineno)
         else:
             raise ValueError(f"line {lineno}: unrecognized certificate line {line!r}")
     if kind is None or graph is None:

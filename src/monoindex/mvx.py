@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .coloring import (
     VertexColoring,
     _check_index_args,
-    _max_valid_partition,
-    _vertex_covers,
+    _coverage_targets,
     verify_mvx_coloring,
 )
 from .graphs import (
@@ -38,7 +38,10 @@ from .graphs import (
 
 MAX_TREE_SUBSETS = 10_000_000
 MAX_DOMINATION_VERTICES = 20
-MAX_EXACT_VERTICES = 8
+MAX_EXACT_VERTICES = 10
+# The down-set table holds 2^n ints of 2^n bits: 128 KB at n = 10, 2 MB at
+# n = 12, 512 MB at n = 16. No max_vertices lifts the exact search past this.
+MAX_KERNEL_VERTICES = 12
 
 
 @dataclass(frozen=True)
@@ -224,19 +227,93 @@ def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
 
 
 def mvx_exact(g: Graph, k: int, max_vertices: int = MAX_EXACT_VERTICES) -> MvxResult:
-    """Maximum color count over all vertex partitions that stay valid at k.
-
-    The descending partition search starts from the diameter bound
-    n - diam + 2, capped at n.
-    """
+    """Maximum color count over all vertex partitions that stay valid at k,
+    read off ``mvx_profile``; asking for k = 2..n in turn scans once."""
     _check_index_args(g, k)
-    n = g.n
-    if n > max_vertices:
-        raise BudgetError(
-            f"partition search over {n} vertices exceeds the budget of {max_vertices}"
-        )
-    t, colors = _max_valid_partition(g, k, n, min(n, n - diameter(g) + 2), _vertex_covers)
+    t, colors = mvx_profile(g, max_vertices)[k - 2]
     return MvxResult(t, VertexColoring(g, colors), k, "exact-search")
+
+
+def mvx_profile(g: Graph, max_vertices: int = MAX_EXACT_VERTICES):
+    """(mvx_k, witness colors) for k = 2..n, by one scan over connected
+    partitions that keeps the last graph's answer. Refuses n above
+    ``max_vertices``, or above MAX_KERNEL_VERTICES whatever it says, before
+    any table is built."""
+    _check_index_args(g, 2)
+    cap = min(max_vertices, MAX_KERNEL_VERTICES)
+    if g.n > cap:
+        raise BudgetError(f"partition search over {g.n} vertices exceeds the budget of {cap}")
+    return _connected_scan(g)
+
+
+@lru_cache(maxsize=None)
+def _down_sets(n: int) -> list[int]:
+    """down[mask], a 2^n-bit int with bit s set for every subset s of mask:
+    a mask's subsets are those of the mask less its top bit h, with and without h."""
+    down = [1]
+    for h in range(n):
+        down += [d | d << (1 << h) for d in down]
+    return down
+
+
+@lru_cache(maxsize=1)
+def _connected_scan(g: Graph):
+    """(mvx_k, witness colors) for k = 2..n, from connected partitions only.
+
+    Splitting a color class into its components keeps every cover N[A] (see
+    ``coloring``) and adds colors, so some optimal coloring has connected
+    classes only. Let U be the OR of the down-sets of a partition's covers:
+    every vertex set that one certifying tree holds. The partition is valid
+    at k = 2 when U holds the non-adjacent pairs, and at k >= 3 when k < tau,
+    the least size of a vertex set outside U. With t falling from
+    min(n, n - diam + 2), the first partition valid at k is mvx_k's witness.
+    Validity only shrinks as k grows, so the settled k form a prefix 2..K
+    and the scan stops once k = n is settled. Each class is a connected mask
+    led by the lowest unassigned vertex, so classes come numbered as a
+    restricted growth string.
+    """
+    n, adj = g.n, g.adj
+    down = _down_sets(n)
+    full = (1 << (1 << n)) - 1
+    # targets[k - 2] marks the k-sets; U holds every k-set exactly when k < tau
+    targets = [sum(1 << s for s in _coverage_targets(g, k)) for k in range(2, n + 1)]
+    closed = [0] * (1 << n)
+    blocks: list[list[int]] = [[] for _ in range(n)]  # connected masks by lowest vertex
+    block_down: dict[int, int] = {}  # connected mask -> down-set of its cover
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        closed[mask] = closed[mask ^ low] | adj[low.bit_length() - 1] | low
+        reach = low
+        while (grown := closed[reach] & mask) != reach:
+            reach = grown
+        if reach == mask:
+            blocks[low.bit_length() - 1].append(mask)
+            block_down[mask] = down[closed[mask]]
+
+    def partitions(rest: int, need: int, union: int, picks: tuple[int, ...]):
+        if need == 1:  # the last class is whatever is left, if connected
+            if rest in block_down:
+                yield union | block_down[rest], picks + (rest,)
+            return
+        spare = rest.bit_count() - need + 1  # the other classes need a vertex each
+        for mask in blocks[(rest & -rest).bit_length() - 1]:
+            if not mask & ~rest and mask.bit_count() <= spare:
+                yield from partitions(
+                    rest ^ mask, need - 1, union | block_down[mask], picks + (mask,)
+                )
+
+    found: list[tuple[int, tuple[int, ...]]] = []
+    for t in range(min(n, n - diameter(g) + 2), 0, -1):
+        for union, picks in partitions(g.full_mask, t, 0, ()):
+            missing = full & ~union
+            if missing & targets[len(found)]:
+                continue
+            colors = tuple(next(c for c, m in enumerate(picks) if m >> v & 1) for v in range(n))
+            while len(found) < n - 1 and not missing & targets[len(found)]:
+                found.append((t, colors))
+            if len(found) == n - 1:
+                return tuple(found)
+    raise RuntimeError("unreachable: one color is always valid on a connected graph")
 
 
 def cycle_mvc_formula(n: int) -> int:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .coloring import (
     EdgeColoring,
     _check_index_args,
-    _edge_covers,
     _max_valid_partition,
     color_classes,
     verify_mx_coloring,
@@ -122,5 +121,5 @@ def mx_exact_bruteforce(g: Graph, k: int, max_edges: int = MAX_BRUTEFORCE_EDGES)
         raise BudgetError(
             f"partition search over {m} edges exceeds the budget of {max_edges}"
         )
-    t, colors = _max_valid_partition(g, k, m, m, _edge_covers)
+    t, colors = _max_valid_partition(g, k)
     return MxResult(t, EdgeColoring(g, colors), k)

@@ -30,7 +30,7 @@ from .graphs import (
     is_connected,
     to_graph6,
 )
-from .mvx import _mod4_threshold, connected_domination_number, mvx_exact
+from .mvx import _mod4_threshold, connected_domination_number, mvx_profile
 
 CSV_COLUMNS = (
     "n", "k", "g6", "g6_complement", "mvx_g", "mvx_gbar",
@@ -90,10 +90,6 @@ def upper_bound_applies(n: int, k: int) -> bool:
     return n >= 5 and k >= (n + 1) // 2
 
 
-def _mvx_values(g: Graph) -> tuple[int, ...]:
-    return tuple(mvx_exact(g, k).value for k in range(3, g.n + 1))
-
-
 def survey_bounds(n: int, include_n8: bool = False, jobs: int = 1) -> list[SurveyRecord]:
     """All survey records for n, sorted by (n, g6, k); every verdict must pass.
 
@@ -112,9 +108,9 @@ def survey_bounds(n: int, include_n8: bool = False, jobs: int = 1) -> list[Surve
     graphs = list(enumerate_coconnected(n))
     if jobs > 1:
         with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_mvx_values, graphs)
+            results = pool.map(mvx_profile, graphs)
     else:
-        results = [_mvx_values(g) for g in graphs]
+        results = [mvx_profile(g) for g in graphs]
     g6s = [to_graph6(g) for g in graphs]
     values = dict(zip(g6s, results))
 
@@ -124,7 +120,7 @@ def survey_bounds(n: int, include_n8: bool = False, jobs: int = 1) -> list[Surve
         g6bar = to_graph6(gbar)
         vals_gbar = values[to_graph6(canonical_form(gbar))]
         for k in range(3, n + 1):
-            a, b = vals_g[k - 3], vals_gbar[k - 3]
+            a, b = vals_g[k - 2][0], vals_gbar[k - 2][0]
             lower = expected_lower_bound(n, k) if n >= 5 else None
             upper = 2 * n - 2 if upper_bound_applies(n, k) else None
             records.append(

@@ -4,12 +4,18 @@ Everything here is written from first principles (the graph6 codec straight
 from the published format description) and deliberately avoids the
 library's own code paths: dict adjacency instead of bitsets, permutation
 minima instead of the pruned canonical search, explicit subtree enumeration
-instead of the component-coverage reduction.
+instead of the component-coverage reduction. The one exception is
+``mvx_by_rgs_search``, the library's earlier exact vertex-index search,
+kept as the slow path the connected-partition scan is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from monoindex.coloring import _all_covered, _coverage_targets, _vertex_covers
+from monoindex.graphs import diameter
+from monoindex.partitions import set_partitions_with_blocks
 
 
 def g6_encode(n: int, edges: set[tuple[int, int]]) -> str:
@@ -139,3 +145,17 @@ def vertex_mono_tree_oracle(catalog: list[tuple[int, int]], colors, s: int) -> b
         if len(internal_colors) <= 1:
             return True
     return False
+
+
+def mvx_by_rgs_search(g, k: int) -> tuple[int, tuple[int, ...]]:
+    """(mvx_k, witness colors) by scanning every set partition, as restricted
+    growth strings, with t falling from min(n, n - diam + 2) and each k-set
+    checked against the covers in turn. Merging two classes keeps a coloring
+    valid, so the first feasible t is the maximum."""
+    n = g.n
+    subsets = tuple(_coverage_targets(g, k))
+    for t in range(min(n, n - diameter(g) + 2), 0, -1):
+        for colors in set_partitions_with_blocks(n, t):
+            if _all_covered(subsets, _vertex_covers(g, colors)):
+                return t, colors
+    raise RuntimeError("unreachable: one color is always valid on a connected graph")

@@ -218,6 +218,8 @@ class TestErrors:
             (["type: vertex", "0 -> 0", "1 -> 0", "2 -> 0", "-1 -> 1"], "names no vertex"),
             (["type: vertex", "0 -> 0", "1 -> 0", "2 -> 0", "7 -> 1"], "names no vertex"),
             (["type: edge", "0 1 -> 0", "0 2 -> 0", "1 2 -> 0", "0 1 -> 1"], "line 6"),
+            (["type: edge", "0 1 -> x", "0 2 -> 0", "1 2 -> 0"], "line 3: color 'x'"),
+            (["type: vertex", "a -> 1", "1 -> 0", "2 -> 0"], "line 3: vertex 'a'"),
         ],
     )
     def test_bad_certificate_element(self, capsys, tmp_path, lines, message):
@@ -225,6 +227,14 @@ class TestErrors:
         cert.write_text("\n".join(["graph6: Bw", *lines]) + "\n")
         code, out, err = run_cli(capsys, "verify", "--coloring", str(cert), "--k", "3")
         assert code == 2 and out == "" and err.startswith("error:") and message in err
+
+    def test_mvx_beyond_kernel_ceiling_exits_2_quickly(self, capsys):
+        # --max-vertices cannot lift the exact search past its table ceiling
+        c30 = to_graph6(cycle_graph(30))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "mvx", "--graph", c30, "--k", "3", "--max-vertices", "30")
+        assert time.perf_counter() - start < 3.0
+        assert code == 2 and out == "" and err.startswith("error:") and "budget" in err
 
     def test_edge_list_beyond_vertex_cap_exits_2_quickly(self, capsys, tmp_path):
         graph = tmp_path / "huge.txt"

@@ -259,6 +259,16 @@ class TestCertificates:
         with pytest.raises(ValueError, match="names no vertex"):
             parse_coloring_certificate(text)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("0 1 -> x", "line 3: color 'x' is not an integer"),
+         ("a 1 -> 0", "line 3: vertex 'a' is not an integer")],
+    )
+    def test_token_not_an_integer(self, line, message):
+        text = f"type: edge\ngraph6: Bw\n{line}\n0 2 -> 0\n1 2 -> 0\n"
+        with pytest.raises(ValueError, match=message):
+            parse_coloring_certificate(text)
+
     def test_element_named_twice(self):
         text = "type: edge\ngraph6: Bw\n0 1 -> 0\n0 2 -> 0\n1 2 -> 0\n1 0 -> 1\n"
         with pytest.raises(ValueError, match="line 6"):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoindex.coloring import VertexColoring, verify_mvx_coloring
 from monoindex.graphs import (
@@ -10,11 +12,13 @@ from monoindex.graphs import (
     cycle_graph,
     enumerate_connected_graphs,
     from_edges,
+    is_connected,
     iter_bits,
     path_graph,
     star_graph,
 )
 from monoindex.mvx import (
+    MAX_KERNEL_VERTICES,
     complement_cycle_mvx,
     connected_domination_number,
     cycle_mvc_formula,
@@ -162,6 +166,47 @@ class TestExactSearch:
     def test_budget(self):
         with pytest.raises(BudgetError):
             mvx_exact(complete_graph(8), 3, max_vertices=7)
+
+    def test_kernel_ceiling_overrides_max_vertices(self):
+        g = cycle_graph(MAX_KERNEL_VERTICES + 1)
+        with pytest.raises(BudgetError, match=f"budget of {MAX_KERNEL_VERTICES}"):
+            mvx_exact(g, 3, max_vertices=g.n)
+
+    def test_agrees_with_rgs_oracle_exhaustively(self):
+        # every connected graph with n <= 7, every k: the value of the old
+        # search over all set partitions, and a witness with exactly that
+        # many colors that is valid at k
+        cases = 0
+        for n in range(2, 8):
+            for g in enumerate_connected_graphs(n):
+                for k in range(2, n + 1):
+                    res = mvx_exact(g, k)
+                    assert res.value == oracles.mvx_by_rgs_search(g, k)[0], (n, g.edges, k)
+                    assert res.witness.num_colors == res.value
+                    assert verify_mvx_coloring(res.witness, k), (n, g.edges, k)
+                    cases += 1
+        assert cases == 5785
+
+    @given(st.integers(0, 2**28 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_agrees_with_rgs_oracle_at_n8(self, mask):
+        pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+        g = from_edges(8, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        if not is_connected(g):
+            g = complement(g)  # the complement of a disconnected graph is connected
+        for k in (2, 3, 5, 8):
+            res = mvx_exact(g, k)
+            assert res.value == oracles.mvx_by_rgs_search(g, k)[0], (g.edges, k)
+            assert res.witness.num_colors == res.value and verify_mvx_coloring(res.witness, k)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_cycles_paths_and_their_complements_beyond_n8(self, n):
+        cc = complement(cycle_graph(n))
+        for k in range(3, n + 1):
+            assert mvx_exact(cycle_graph(n), k).value == 3, (n, k)
+            assert mvx_exact(path_graph(n), k).value == 3, (n, k)
+            assert mvx_exact(cc, k).value == complement_cycle_mvx(n, k), (n, k)
+        assert mvx_exact(cycle_graph(n), 2).value == mvx_exact(path_graph(n), 2).value == 3
 
 
 class TestExtraction:
