@@ -193,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mx)
     p.add_argument("--graph", required=True, help="path or inline graph6")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--exact", action="store_true", help="partition search instead of the closed form")
+    p.add_argument("--exact", action="store_true", help="exact search instead of the closed form")
     p.add_argument("--witness", help="write the witness coloring certificate here")
-    p.add_argument("--max-edges", type=int, help="override the partition-search edge budget")
+    p.add_argument("--max-edges", type=int, help="override the exact-search edge budget (15)")
     p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("mvx", help="vertex index of a graph at k")

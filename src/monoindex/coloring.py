@@ -20,7 +20,7 @@ handled as the explicit small cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 from .graphs import (
@@ -34,10 +34,12 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .partitions import set_partitions_with_blocks
 
 # C(n, k) k-sets a verifier may scan; the spanning-tree scan has the same cap
 MAX_VERIFY_SUBSETS = 10_000_000
+# The down-set table holds 2^n ints of 2^n bits: 128 KB at n = 10, 2 MB at
+# n = 12, 512 MB at n = 16. No budget lifts either exact search past this.
+MAX_KERNEL_VERTICES = 12
 
 
 def _renumber(colors: tuple[int, ...]) -> tuple[int, ...]:
@@ -91,6 +93,11 @@ class _Coloring:
     @property
     def num_colors(self) -> int:
         return len(set(self.colors))
+
+    @cached_property
+    def _cover_masks(self) -> list[int]:
+        """The cover masks of this coloring, built once per coloring."""
+        return self._covers(self.graph, self.colors)
 
     def renumbered(self):
         return type(self)(self.graph, _renumber(self.colors))
@@ -212,6 +219,16 @@ def _coverage_targets(g: Graph, k: int):
         yield s
 
 
+@lru_cache(maxsize=None)
+def _down_sets(n: int) -> list[int]:
+    """down[mask], a 2^n-bit int with bit s set for every subset s of mask:
+    a mask's subsets are those of the mask less its top bit h, with and without h."""
+    down = [1]
+    for h in range(n):
+        down += [d | d << (1 << h) for d in down]
+    return down
+
+
 def _all_covered(subsets, masks) -> bool:
     """Does every subset lie inside at least one of the masks?"""
     for s in subsets:
@@ -240,7 +257,7 @@ def _in_one_tree(coloring: _Coloring, s: int) -> bool:
     size = s.bit_count()
     if size <= 1 or size == 2 and g.adj[(s & -s).bit_length() - 1] & s:
         return True
-    return any(cover & s == s for cover in coloring._covers(g, coloring.colors))
+    return any(cover & s == s for cover in coloring._cover_masks)
 
 
 def mono_stree_exists(ec: EdgeColoring, s: int) -> bool:
@@ -265,7 +282,7 @@ def _verify(coloring: _Coloring, k: int) -> bool:
         raise BudgetError(
             f"C({g.n},{k}) vertex subsets exceed the verifier budget of {MAX_VERIFY_SUBSETS}"
         )
-    return _all_covered(_coverage_targets(g, k), coloring._covers(g, coloring.colors))
+    return _all_covered(_coverage_targets(g, k), coloring._cover_masks)
 
 
 def verify_mx_coloring(ec: EdgeColoring, k: int) -> bool:
@@ -276,23 +293,6 @@ def verify_mx_coloring(ec: EdgeColoring, k: int) -> bool:
 def verify_mvx_coloring(vc: VertexColoring, k: int) -> bool:
     """Vertex analogue of verify_mx_coloring."""
     return _verify(vc, k)
-
-
-def _max_valid_partition(g: Graph, k: int):
-    """The largest t, with its coloring, such that some partition of the
-    edges into t classes is valid at k.
-
-    Scans t downward from m: merging two classes of a valid coloring keeps
-    it valid, so feasibility is downward closed in t and the first feasible
-    t is the maximum. Partitions come as restricted growth strings, one per
-    relabeling class. Callers check the arguments and their budget first.
-    """
-    subsets = tuple(_coverage_targets(g, k))
-    for t in range(g.m, 0, -1):
-        for colors in set_partitions_with_blocks(g.m, t):
-            if _all_covered(subsets, _edge_covers(g, colors)):
-                return t, colors
-    raise RuntimeError("unreachable: one color is always valid on a connected graph")
 
 
 def normalize_to_forest(ec: EdgeColoring, k: int) -> EdgeColoring:

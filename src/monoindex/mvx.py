@@ -19,9 +19,11 @@ from functools import lru_cache
 from math import comb
 
 from .coloring import (
+    MAX_KERNEL_VERTICES,
     VertexColoring,
     _check_index_args,
     _coverage_targets,
+    _down_sets,
     verify_mvx_coloring,
 )
 from .graphs import (
@@ -39,9 +41,6 @@ from .graphs import (
 MAX_TREE_SUBSETS = 10_000_000
 MAX_DOMINATION_VERTICES = 20
 MAX_EXACT_VERTICES = 10
-# The down-set table holds 2^n ints of 2^n bits: 128 KB at n = 10, 2 MB at
-# n = 12, 512 MB at n = 16. No max_vertices lifts the exact search past this.
-MAX_KERNEL_VERTICES = 12
 
 
 @dataclass(frozen=True)
@@ -244,16 +243,6 @@ def mvx_profile(g: Graph, max_vertices: int = MAX_EXACT_VERTICES):
     if g.n > cap:
         raise BudgetError(f"partition search over {g.n} vertices exceeds the budget of {cap}")
     return _connected_scan(g)
-
-
-@lru_cache(maxsize=None)
-def _down_sets(n: int) -> list[int]:
-    """down[mask], a 2^n-bit int with bit s set for every subset s of mask:
-    a mask's subsets are those of the mask less its top bit h, with and without h."""
-    down = [1]
-    for h in range(n):
-        down += [d | d << (1 << h) for d in down]
-    return down
 
 
 @lru_cache(maxsize=1)

@@ -3,8 +3,8 @@
 A partition of range(n) is emitted as a tuple a of length n where a[i] is
 the block of element i and blocks are numbered by first appearance
 (a[0] = 0, a[i] <= max(a[:i]) + 1). This avoids relabeling duplicates and
-doubles as the dense color tuple the coloring types use, so the search
-loops consume these streams directly.
+doubles as the dense color tuple the coloring types use, so the test
+oracles' search loops consume these streams directly.
 """
 
 from __future__ import annotations

@@ -4,16 +4,17 @@ Everything here is written from first principles (the graph6 codec straight
 from the published format description) and deliberately avoids the
 library's own code paths: dict adjacency instead of bitsets, permutation
 minima instead of the pruned canonical search, explicit subtree enumeration
-instead of the component-coverage reduction. The one exception is
-``mvx_by_rgs_search``, the library's earlier exact vertex-index search,
-kept as the slow path the connected-partition scan is checked against.
+instead of the component-coverage reduction. The exceptions are
+``mvx_by_rgs_search`` and ``mx_by_rgs_search``, the library's earlier exact
+index searches over every set partition, kept as the slow paths the
+connected-partition scan and the subtree-family search are checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from monoindex.coloring import _all_covered, _coverage_targets, _vertex_covers
+from monoindex.coloring import _all_covered, _coverage_targets, _edge_covers, _vertex_covers
 from monoindex.graphs import diameter
 from monoindex.partitions import set_partitions_with_blocks
 
@@ -157,5 +158,22 @@ def mvx_by_rgs_search(g, k: int) -> tuple[int, tuple[int, ...]]:
     for t in range(min(n, n - diameter(g) + 2), 0, -1):
         for colors in set_partitions_with_blocks(n, t):
             if _all_covered(subsets, _vertex_covers(g, colors)):
+                return t, colors
+    raise RuntimeError("unreachable: one color is always valid on a connected graph")
+
+
+def mx_by_rgs_search(g, k: int):
+    """The largest t, with its coloring, such that some partition of the
+    edges into t classes is valid at k.
+
+    Scans t downward from m: merging two classes of a valid coloring keeps
+    it valid, so feasibility is downward closed in t and the first feasible
+    t is the maximum. Partitions come as restricted growth strings, one per
+    relabeling class. Callers check the arguments and their budget first.
+    """
+    subsets = tuple(_coverage_targets(g, k))
+    for t in range(g.m, 0, -1):
+        for colors in set_partitions_with_blocks(g.m, t):
+            if _all_covered(subsets, _edge_covers(g, colors)):
                 return t, colors
     raise RuntimeError("unreachable: one color is always valid on a connected graph")

@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven exhaustive criteria, one test per criterion.
+"""Acceptance suite: twelve exhaustive criteria, one test per criterion.
 
 Every assertion is exact integer equality (or an exact set comparison);
 nothing is tolerance-calibrated. Each test prints one PASS line on the way
@@ -316,6 +316,24 @@ def test_c11_property_suites():
 
     report(11, "merge monotonicity (2x500 seeded trials), subtree-oracle agreement "
                "(n<=6 x 50 partitions), and both index chains hold")
+
+
+def test_c12_main_theorem_exhaustive():
+    # mx_3 = m - n + 2 on every connected graph with n <= 6. Validity at k + 1
+    # implies validity at k, and the spanning-tree witness is valid at every
+    # k, so this settles every k >= 3.
+    checked = 0
+    for n in range(3, 7):
+        for g in enumerate_connected_graphs(n):
+            assert mx_exact_bruteforce(g, 3).value == g.m - g.n + 2, (n, g.edges)
+            checked += 1
+    # k = 2 is outside the theorem: mc = mx_2 exceeds m - n + 2 on 23 of the
+    # 112 connected six-vertex graphs
+    six = list(enumerate_connected_graphs(6))
+    above = [g for g in six if mx_exact_bruteforce(g, 2).value > g.m - g.n + 2]
+    assert (len(six), len(above)) == (112, 23)
+    report(12, f"edge index equals m-n+2 at every k >= 3 on all connected n<=6 "
+               f"({checked} graphs); mx_2 exceeds it on 23 of 112 at n=6")
 
 
 SURVEY_CSV_SHA256 = {

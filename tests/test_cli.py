@@ -236,6 +236,16 @@ class TestErrors:
         assert time.perf_counter() - start < 3.0
         assert code == 2 and out == "" and err.startswith("error:") and "budget" in err
 
+    def test_mx_beyond_kernel_ceiling_exits_2_quickly(self, capsys):
+        # --max-edges cannot lift the exact search past its table ceiling
+        c30 = to_graph6(cycle_graph(30))
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "mx", "--graph", c30, "--k", "2", "--exact", "--max-edges", "30"
+        )
+        assert time.perf_counter() - start < 3.0
+        assert code == 2 and out == "" and err.startswith("error:") and "budget" in err
+
     def test_edge_list_beyond_vertex_cap_exits_2_quickly(self, capsys, tmp_path):
         graph = tmp_path / "huge.txt"
         graph.write_text("3000000 0\n")

@@ -1,12 +1,22 @@
-import pytest
+import random
 
-from monoindex.coloring import EdgeColoring, color_classes, verify_mx_coloring
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from monoindex.coloring import (
+    MAX_KERNEL_VERTICES,
+    EdgeColoring,
+    color_classes,
+    verify_mx_coloring,
+)
 from monoindex.graphs import (
     BudgetError,
     complete_graph,
     cycle_graph,
     enumerate_connected_graphs,
     from_edges,
+    is_connected,
     path_graph,
 )
 from monoindex.mx import (
@@ -15,6 +25,8 @@ from monoindex.mx import (
     mx_k_formula,
     simplify_coloring,
 )
+
+import oracles
 
 
 def is_simple(ec: EdgeColoring) -> bool:
@@ -131,3 +143,45 @@ class TestBruteforce:
     def test_complete_graph_mc(self):
         # every pair is adjacent, so all-distinct is fine at k=2
         assert mx_exact_bruteforce(complete_graph(4), 2).value == 6
+
+    def test_kernel_ceiling_overrides_max_edges(self):
+        g = cycle_graph(MAX_KERNEL_VERTICES + 1)
+        with pytest.raises(BudgetError, match=f"budget of {MAX_KERNEL_VERTICES}"):
+            mx_exact_bruteforce(g, 2, max_edges=g.m)
+
+    def test_budget_admits_k6(self):
+        assert mx_exact_bruteforce(complete_graph(6), 2).value == 15
+        assert mx_exact_bruteforce(complete_graph(6), 3).value == 11
+
+
+class TestAgainstPartitionSearch:
+    """The subtree-family search against the old search over every edge
+    partition, kept as ``oracles.mx_by_rgs_search``."""
+
+    def test_agrees_exhaustively(self):
+        # every connected graph with n <= 6 and m <= 8, every k: equal values,
+        # and a witness with exactly that many colors that is valid at k
+        cases = 0
+        for n in range(2, 7):
+            for g in enumerate_connected_graphs(n):
+                if g.m > 8:
+                    continue
+                for k in range(2, n + 1):
+                    res = mx_exact_bruteforce(g, k)
+                    assert res.value == oracles.mx_by_rgs_search(g, k)[0], (n, g.edges, k)
+                    assert res.witness.num_colors == res.value
+                    assert verify_mx_coloring(res.witness, k), (n, g.edges, k)
+                    cases += 1
+        assert cases == 399
+
+    @given(st.integers(5, 7), st.integers(9, 10), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_agrees_at_nine_and_ten_edges(self, n, m, seed, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assume(m <= len(pairs))
+        g = from_edges(n, random.Random(seed).sample(pairs, m))
+        assume(is_connected(g))
+        k = data.draw(st.integers(2, n))
+        res = mx_exact_bruteforce(g, k)
+        assert res.value == oracles.mx_by_rgs_search(g, k)[0], (g.edges, k)
+        assert res.witness.num_colors == res.value and verify_mx_coloring(res.witness, k)
