@@ -15,6 +15,7 @@ import sys
 from . import __version__
 from .coloring import (
     EdgeColoring,
+    _check_index_args,
     parse_coloring_certificate,
     verify_mvx_coloring,
     verify_mx_coloring,
@@ -96,6 +97,7 @@ def _cmd_mvx(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     k = args.k
     if args.bound:
+        _check_index_args(g, k)
         print(diameter_upper_bound(g))
         return 0
     if args.cut_vertex:
@@ -203,11 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact partition search (default)")
+    mode.add_argument("--exact", action="store_true", help="exact search (default)")
     mode.add_argument("--cut-vertex", action="store_true", help="fast path for cut-vertex graphs")
     mode.add_argument("--bound", action="store_true", help="print the diameter upper bound")
     p.add_argument("--witness", help="write the witness coloring certificate here")
-    p.add_argument("--max-vertices", type=int, help="override the partition-search vertex budget")
+    p.add_argument("--max-vertices", type=int, help="override the exact-search vertex budget (10)")
     p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("reduce", help="dominating-set decision through the gadget")

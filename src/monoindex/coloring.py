@@ -26,10 +26,10 @@ from math import comb
 from .graphs import (
     BudgetError,
     Graph,
+    closed_neighborhood,
     connected_components,
     edge_forest,
     is_connected,
-    iter_bits,
     k_subsets,
     parse_graph6,
     to_graph6,
@@ -127,15 +127,8 @@ def _vertex_covers(g: Graph, colors) -> list[int]:
     class_masks: dict[int, int] = {}
     for v, c in enumerate(colors):
         class_masks[c] = class_masks.get(c, 0) | 1 << v
-    adj = g.adj
-    covers = []
-    for mask in class_masks.values():
-        for comp in connected_components(g, mask):
-            cover = comp
-            for v in iter_bits(comp):
-                cover |= adj[v]
-            covers.append(cover)
-    return covers
+    comps = (comp for mask in class_masks.values() for comp in connected_components(g, mask))
+    return [closed_neighborhood(g, comp) for comp in comps]
 
 
 class EdgeColoring(_Coloring):
@@ -227,6 +220,66 @@ def _down_sets(n: int) -> list[int]:
     for h in range(n):
         down += [d | d << (1 << h) for d in down]
     return down
+
+
+def _least_excess(
+    n: int, size: int, blocks: dict[int, int], target_sets: list[int], low: int, least: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Both exact indices: for each set of targets in turn, the least total
+    excess e, from low or from the e of the set before, of element-disjoint
+    blocks whose covers hold every target, with the witness colors (each
+    chosen block one color, every other element its own). The index is
+    size - e.
+
+    Elements are bits 0..size-1: the edges or the vertices of an n-vertex
+    graph. ``blocks`` maps each block, a mask of two or more elements with
+    excess popcount - 1, to its vertex cover. A target set is a 2^n-bit set
+    of vertex sets. For each e, the lowest target left out is branched on
+    over the blocks that hold it, share no element with the chosen ones and
+    fit what is left of e: by ascending excess, then in ``blocks`` order.
+    No block that holds a target has excess below ``least``, so a block
+    that leaves less of e than that must hold every target left.
+    """
+    down = _down_sets(n)
+    levels: list[list[int]] = [[] for _ in range(size)]  # levels[x]: the blocks of excess x
+    for b in blocks:
+        levels[b.bit_count() - 1].append(b)
+    holding: dict[int, list[list[int]]] = {}  # target -> per excess up to e, its blocks
+
+    def family(union: int, used: int, budget: int):
+        rest = targets & ~union
+        if not rest:
+            return ()
+        s = (rest & -rest).bit_length() - 1
+        if s not in holding:
+            holding[s] = [[b for b in level if blocks[b] & s == s] for level in levels[: e + 1]]
+        for excess, level in enumerate(holding[s][: budget + 1]):
+            for block in level:
+                if block & used:
+                    continue
+                below = union | down[blocks[block]]
+                if budget - excess < least and targets & ~below:
+                    continue
+                found = family(below, used | block, budget - excess)
+                if found is not None:
+                    return (block,) + found
+        return None
+
+    out = []
+    e, last = low, None
+    for targets in target_sets:
+        while (chosen := family(0, 0, e)) is None:
+            e += 1
+            if e == size:  # past the excess of every element in one block
+                raise RuntimeError("unreachable: some family of blocks holds every target")
+            for s, hold in holding.items():
+                hold.append([b for b in levels[e] if blocks[b] & s == s])
+        if chosen != last:
+            # the color of an element is its block's mask, or its own bit
+            labels = [next((b for b in chosen if b >> i & 1), 1 << i) for i in range(size)]
+            last, colors = chosen, _renumber(labels)
+        out.append((e, colors))
+    return out
 
 
 def _all_covered(subsets, masks) -> bool:

@@ -135,14 +135,19 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((full & ~row) & ~(1 << i) for i, row in enumerate(g.adj)))
 
 
+def closed_neighborhood(g: Graph, mask: int) -> int:
+    """N[mask]: the vertices of mask and every neighbor of one of them."""
+    out = mask
+    for v in iter_bits(mask):
+        out |= g.adj[v]
+    return out
+
+
 def is_connected(g: Graph) -> bool:
     seen = 1
     frontier = 1
     while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
+        frontier = closed_neighborhood(g, frontier) & ~seen
         seen |= frontier
     return seen == g.full_mask
 
@@ -158,10 +163,7 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
         comp = remaining & -remaining
         frontier = comp
         while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & remaining & ~comp
+            frontier = closed_neighborhood(g, frontier) & remaining & ~comp
             comp |= frontier
         comps.append(comp)
         remaining &= ~comp
@@ -233,10 +235,7 @@ def diameter(g: Graph) -> int:
         frontier = seen
         dist = 0
         while True:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v]
-            nxt &= ~seen
+            nxt = closed_neighborhood(g, frontier) & ~seen
             if not nxt:
                 break
             dist += 1

@@ -9,6 +9,13 @@ implemented independently here precisely so the tests can play them against
 each other. On a graph with a cut vertex the value l(T_max) + 1 is the
 index for every k from 2 to n, which is the fast path the decision
 reduction rides on.
+
+The exact search is ``coloring._least_excess`` over the vertices.
+Splitting a color class into its components keeps every cover N[A] (see
+``coloring``) and adds colors, so some optimal coloring has connected
+classes only: the blocks are the connected sets A of two or more vertices,
+each covering N[A]. A lone vertex v holds the subsets of N[v], and so does
+any block holding v, so those k-sets need no block at all.
 """
 
 from __future__ import annotations
@@ -24,12 +31,14 @@ from .coloring import (
     _check_index_args,
     _coverage_targets,
     _down_sets,
+    _least_excess,
     verify_mvx_coloring,
 )
 from .graphs import (
     BudgetError,
     Graph,
     bfs_tree,
+    closed_neighborhood,
     connected_components,
     cut_vertices,
     diameter,
@@ -226,83 +235,45 @@ def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
 
 
 def mvx_exact(g: Graph, k: int, max_vertices: int = MAX_EXACT_VERTICES) -> MvxResult:
-    """Maximum color count over all vertex partitions that stay valid at k,
-    read off ``mvx_profile``; asking for k = 2..n in turn scans once."""
+    """Maximum color count over all vertex colorings valid at k, read off
+    ``mvx_profile``; asking for k = 2..n in turn searches once."""
     _check_index_args(g, k)
     t, colors = mvx_profile(g, max_vertices)[k - 2]
     return MvxResult(t, VertexColoring(g, colors), k, "exact-search")
 
 
+@lru_cache(maxsize=1)
 def mvx_profile(g: Graph, max_vertices: int = MAX_EXACT_VERTICES):
-    """(mvx_k, witness colors) for k = 2..n, by one scan over connected
-    partitions that keeps the last graph's answer. Refuses n above
-    ``max_vertices``, or above MAX_KERNEL_VERTICES whatever it says, before
-    any table is built."""
+    """(mvx_k, witness colors) for k = 2..n from one least-excess search
+    (module docstring). It starts at e = diam - 2, as mvx_k <= n - diam + 2,
+    and each k at the e of k - 1, as validity only shrinks as k grows.
+    Refuses n above ``max_vertices``, or above MAX_KERNEL_VERTICES whatever
+    it says, before any table is built. The cache keeps the last call's
+    answer, keyed on both arguments, so a smaller budget is checked again.
+    """
     _check_index_args(g, 2)
     cap = min(max_vertices, MAX_KERNEL_VERTICES)
     if g.n > cap:
-        raise BudgetError(f"partition search over {g.n} vertices exceeds the budget of {cap}")
-    return _connected_scan(g)
-
-
-@lru_cache(maxsize=1)
-def _connected_scan(g: Graph):
-    """(mvx_k, witness colors) for k = 2..n, from connected partitions only.
-
-    Splitting a color class into its components keeps every cover N[A] (see
-    ``coloring``) and adds colors, so some optimal coloring has connected
-    classes only. Let U be the OR of the down-sets of a partition's covers:
-    every vertex set that one certifying tree holds. The partition is valid
-    at k = 2 when U holds the non-adjacent pairs, and at k >= 3 when k < tau,
-    the least size of a vertex set outside U. With t falling from
-    min(n, n - diam + 2), the first partition valid at k is mvx_k's witness.
-    Validity only shrinks as k grows, so the settled k form a prefix 2..K
-    and the scan stops once k = n is settled. Each class is a connected mask
-    led by the lowest unassigned vertex, so classes come numbered as a
-    restricted growth string.
-    """
+        raise BudgetError(f"exact search over {g.n} vertices exceeds the budget of {cap}")
     n, adj = g.n, g.adj
     down = _down_sets(n)
-    full = (1 << (1 << n)) - 1
-    # targets[k - 2] marks the k-sets; U holds every k-set exactly when k < tau
-    targets = [sum(1 << s for s in _coverage_targets(g, k)) for k in range(2, n + 1)]
     closed = [0] * (1 << n)
-    blocks: list[list[int]] = [[] for _ in range(n)]  # connected masks by lowest vertex
-    block_down: dict[int, int] = {}  # connected mask -> down-set of its cover
+    base = 0
+    blocks: dict[int, int] = {}  # connected mask of two or more vertices -> its cover
     for mask in range(1, 1 << n):
         low = mask & -mask
         closed[mask] = closed[mask ^ low] | adj[low.bit_length() - 1] | low
+        if mask == low:
+            base |= down[closed[mask]]
+            continue
         reach = low
         while (grown := closed[reach] & mask) != reach:
             reach = grown
         if reach == mask:
-            blocks[low.bit_length() - 1].append(mask)
-            block_down[mask] = down[closed[mask]]
-
-    def partitions(rest: int, need: int, union: int, picks: tuple[int, ...]):
-        if need == 1:  # the last class is whatever is left, if connected
-            if rest in block_down:
-                yield union | block_down[rest], picks + (rest,)
-            return
-        spare = rest.bit_count() - need + 1  # the other classes need a vertex each
-        for mask in blocks[(rest & -rest).bit_length() - 1]:
-            if not mask & ~rest and mask.bit_count() <= spare:
-                yield from partitions(
-                    rest ^ mask, need - 1, union | block_down[mask], picks + (mask,)
-                )
-
-    found: list[tuple[int, tuple[int, ...]]] = []
-    for t in range(min(n, n - diameter(g) + 2), 0, -1):
-        for union, picks in partitions(g.full_mask, t, 0, ()):
-            missing = full & ~union
-            if missing & targets[len(found)]:
-                continue
-            colors = tuple(next(c for c, m in enumerate(picks) if m >> v & 1) for v in range(n))
-            while len(found) < n - 1 and not missing & targets[len(found)]:
-                found.append((t, colors))
-            if len(found) == n - 1:
-                return tuple(found)
-    raise RuntimeError("unreachable: one color is always valid on a connected graph")
+            blocks[mask] = closed[mask]
+    target_sets = [sum(1 << s for s in _coverage_targets(g, k)) & ~base for k in range(2, n + 1)]
+    found = _least_excess(n, n, blocks, target_sets, max(diameter(g) - 2, 0), least=1)
+    return tuple((n - e, colors) for e, colors in found)
 
 
 def cycle_mvc_formula(n: int) -> int:
@@ -360,9 +331,6 @@ def extract_mono_spanning_tree(vc: VertexColoring, v0: int) -> SpanningTreeResul
         for comp in connected_components(g, vc.class_mask(vc.colors[v0]))
         if comp >> v0 & 1
     )
-    closed = core
-    for v in iter_bits(core):
-        closed |= g.adj[v]
-    if closed != g.full_mask:
+    if closed_neighborhood(g, core) != g.full_mask:
         raise RuntimeError("v0's color component does not dominate the graph; this is a bug")
     return _tree_from_core(g, core, v0)

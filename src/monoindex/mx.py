@@ -6,14 +6,13 @@ with one color and every leftover edge with a fresh one. The exact search
 below is the independent check of that closed form (and the only exact
 route for k = 2, where the closed form does not apply and mx_2 = mc).
 
-The search is over families of edge-disjoint subtrees, not edge partitions.
+The exact search is ``coloring._least_excess`` over the edges.
 ``normalize_to_forest`` shows that some optimal coloring has only tree
 classes. A one-edge class holds only its own adjacent pair, which no target
 needs: adjacent pairs are dropped at k = 2, and a k-set with k >= 3 does
-not fit in two vertices. So an optimal coloring is a family of such trees
-with two or more edges, one color each, and a fresh color on every other
-edge. A tree T puts |V(T)| - 1 edges in one color, |V(T)| - 2 colors fewer
-than fresh ones: its excess. A family of total excess e gives m - e colors.
+not fit in two vertices. So the blocks are the subtrees with two or more
+edges, each covering its vertex set; a spanning tree, of excess n - 2,
+holds every k-set.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .coloring import (
     EdgeColoring,
     _check_index_args,
     _coverage_targets,
-    _down_sets,
+    _least_excess,
     color_classes,
     verify_mx_coloring,
 )
@@ -121,8 +120,8 @@ def simplify_coloring(ec: EdgeColoring, k: int) -> EdgeColoring:
     return out
 
 
-def _subtrees(g: Graph) -> list[tuple[int, int]]:
-    """(edge mask, vertex mask) of every subtree with at least two edges.
+def _subtrees(g: Graph) -> dict[int, int]:
+    """{edge mask: vertex mask} of every subtree with at least two edges.
 
     Each tree grows from its lowest edge by edges with one end in it (the
     XOR of its vertices' incidence masks); an edge one child takes is
@@ -133,11 +132,11 @@ def _subtrees(g: Graph) -> list[tuple[int, int]]:
     stack = [
         (1 << i, ends[i], inc[u] ^ inc[v], (2 << i) - 1) for i, (u, v) in enumerate(g.edges)
     ]
-    out = []
+    out: dict[int, int] = {}
     while stack:
         emask, vmask, boundary, banned = stack.pop()
         if emask & emask - 1:
-            out.append((emask, vmask))
+            out[emask] = vmask
         free = boundary & ~banned
         while free:
             f = free & -free
@@ -149,51 +148,18 @@ def _subtrees(g: Graph) -> list[tuple[int, int]]:
 
 
 def mx_exact_bruteforce(g: Graph, k: int, max_edges: int = MAX_BRUTEFORCE_EDGES) -> MxResult:
-    """Maximum color count over all edge colorings valid at k: m - e*, with
-    e* the least total excess of a family of subtrees that hold every target
-    (module docstring). The search is exact, not brute force; the name stays
-    for the API and perfbench's tracer. The budget e rises from 0 (at n - 2
-    a spanning tree works); the lowest target no chosen tree holds is
-    branched on over every subtree that holds it, shares no edge with the
-    chosen ones and fits the budget. The witness colors each chosen tree as
-    one class and every other edge alone. Refuses more than ``max_edges``
-    edges, or MAX_KERNEL_VERTICES vertices whatever it says, before any
-    table or subtree list is built.
+    """Maximum color count over all edge colorings valid at k: m - e, with e
+    the least total excess of edge-disjoint subtrees that hold every target
+    (module docstring), found by ``coloring._least_excess``. The search is
+    exact, not brute force; the name stays for the API and perfbench's
+    tracer. Refuses more than ``max_edges`` edges, or MAX_KERNEL_VERTICES
+    vertices whatever it says, before any table or subtree list is built.
     """
     _check_index_args(g, k)
     for size, cap, noun in ((g.n, MAX_KERNEL_VERTICES, "vertices"), (g.m, max_edges, "edges")):
         if size > cap:
             raise BudgetError(f"subtree search over {size} {noun} exceeds the budget of {cap}")
-    down = _down_sets(g.n)
     targets = sum(1 << s for s in _coverage_targets(g, k))
-    trees = sorted(
-        ((vmask.bit_count() - 2, emask, vmask, down[vmask]) for emask, vmask in _subtrees(g)),
-        key=lambda tree: tree[0],
-    )
-    holding: dict[int, list] = {}  # target -> the trees that hold it, by excess
-    least = max(k, 3) - 2  # a tree that holds a target has max(k, 3) vertices or more
-
-    def family(union: int, used: int, budget: int):
-        rest = targets & ~union
-        if not rest:
-            return ()
-        s = (rest & -rest).bit_length() - 1
-        if s not in holding:
-            holding[s] = [tree for tree in trees if tree[2] & s == s]
-        for excess, emask, _, below in holding[s]:
-            if excess > budget:
-                break
-            if emask & used or budget - excess < least and targets & ~(union | below):
-                continue
-            found = family(union | below, used | emask, budget - excess)
-            if found is not None:
-                return (emask,) + found
-        return None
-
-    for e in range(g.n - 1):
-        chosen = family(0, 0, e)
-        if chosen is not None:
-            # the color of an edge is its tree's mask, or its own bit
-            colors = [next((t for t in chosen if t >> i & 1), 1 << i) for i in range(g.m)]
-            return MxResult(g.m - e, EdgeColoring(g, tuple(colors)).renumbered(), k)
-    raise RuntimeError("unreachable: a spanning tree is always valid")
+    # a tree that holds a target has max(k, 3) vertices or more
+    [(e, colors)] = _least_excess(g.n, g.m, _subtrees(g), [targets], 0, max(k, 3) - 2)
+    return MxResult(g.m - e, EdgeColoring(g, colors), k)

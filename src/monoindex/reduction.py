@@ -20,7 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, connected_components, from_edges, iter_bits, mask_from
+from .graphs import (
+    Graph,
+    closed_neighborhood,
+    connected_components,
+    from_edges,
+    iter_bits,
+    mask_from,
+)
 from .mvx import MAX_DOMINATION_VERTICES, _dominating_masks, mvx_via_cut_vertex
 
 
@@ -51,10 +58,7 @@ def check_certificate(g: Graph, cert: DominationCertificate) -> bool:
     if any(not 0 <= v < g.n for v in cert.vertices):
         return False
     mask = mask_from(cert.vertices)
-    cover = mask
-    for v in iter_bits(mask):
-        cover |= g.adj[v]
-    if cover != g.full_mask:
+    if closed_neighborhood(g, mask) != g.full_mask:
         return False
     if cert.kind == "connected-dominating":
         return connected_components(g, mask) == [mask]

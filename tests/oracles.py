@@ -6,8 +6,8 @@ library's own code paths: dict adjacency instead of bitsets, permutation
 minima instead of the pruned canonical search, explicit subtree enumeration
 instead of the component-coverage reduction. The exceptions are
 ``mvx_by_rgs_search`` and ``mx_by_rgs_search``, the library's earlier exact
-index searches over every set partition, kept as the slow paths the
-connected-partition scan and the subtree-family search are checked against.
+index searches over every set partition, kept as the slow paths the one
+least-excess block search behind both indices is checked against.
 """
 
 from __future__ import annotations

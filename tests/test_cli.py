@@ -184,6 +184,12 @@ class TestErrors:
         assert code == 2 and out == "" and err.startswith("error:")
         assert not witness.exists()
 
+    @pytest.mark.parametrize("k", ["1", "5", "99"])
+    def test_mvx_bound_k_out_of_range(self, capsys, k):
+        # Ch has 4 vertices; the bound route checks k like every other route
+        code, out, err = run_cli(capsys, "mvx", "--graph", "Ch", "--k", k, "--bound")
+        assert code == 2 and out == "" and err.startswith("error:") and "out of range" in err
+
     @pytest.mark.parametrize("k", ["2", "5", "99"])
     def test_survey_k_out_of_range(self, capsys, monkeypatch, k):
         def no_survey(*args, **kwargs):

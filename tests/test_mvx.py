@@ -167,6 +167,12 @@ class TestExactSearch:
         with pytest.raises(BudgetError):
             mvx_exact(complete_graph(8), 3, max_vertices=7)
 
+    def test_cached_profile_never_bypasses_the_budget(self):
+        g = complete_graph(8)
+        assert mvx_exact(g, 3).value == 8
+        with pytest.raises(BudgetError):
+            mvx_exact(g, 3, max_vertices=g.n - 1)
+
     def test_kernel_ceiling_overrides_max_vertices(self):
         g = cycle_graph(MAX_KERNEL_VERTICES + 1)
         with pytest.raises(BudgetError, match=f"budget of {MAX_KERNEL_VERTICES}"):

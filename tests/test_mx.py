@@ -17,6 +17,7 @@ from monoindex.graphs import (
     enumerate_connected_graphs,
     from_edges,
     is_connected,
+    parse_graph6,
     path_graph,
 )
 from monoindex.mx import (
@@ -173,6 +174,14 @@ class TestAgainstPartitionSearch:
                     assert verify_mx_coloring(res.witness, k), (n, g.edges, k)
                     cases += 1
         assert cases == 399
+
+    def test_last_tree_may_spend_exactly_the_least_excess(self):
+        # mx_2 = 8 here needs a family whose last tree has the least excess a
+        # tree holding a target can have; a prune off by one misses it
+        g = parse_graph6("EL~o")
+        res = mx_exact_bruteforce(g, 2)
+        assert res.value == oracles.mx_by_rgs_search(g, 2)[0] == 8
+        assert res.witness.num_colors == 8 and verify_mx_coloring(res.witness, 2)
 
     @given(st.integers(5, 7), st.integers(9, 10), st.integers(0, 2**32 - 1), st.data())
     @settings(max_examples=12, deadline=None)
