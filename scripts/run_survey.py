@@ -21,12 +21,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=6, help="vertex count (4..8)")
     parser.add_argument("--csv", help="write all records here")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--include-n8", action="store_true")
     args = parser.parse_args()
 
     start = time.time()
-    records = survey_bounds(args.n, include_n8=args.include_n8, jobs=args.threads)
+    records = survey_bounds(args.n, include_n8=args.include_n8)
     elapsed = time.time() - start
     pairs = len({r.g6 for r in records})
     print(f"n={args.n}: {pairs} co-connected graphs, {len(records)} records, {elapsed:.1f}s")

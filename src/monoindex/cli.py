@@ -14,6 +14,7 @@ import sys
 
 from . import __version__
 from .coloring import (
+    MAX_KERNEL_VERTICES,
     EdgeColoring,
     _check_index_args,
     parse_coloring_certificate,
@@ -103,8 +104,7 @@ def _cmd_mvx(args: argparse.Namespace) -> int:
     if args.cut_vertex:
         result = mvx_via_cut_vertex(g, k)
     else:
-        kwargs = {} if args.max_vertices is None else {"max_vertices": args.max_vertices}
-        result = mvx_exact(g, k, **kwargs)
+        result = mvx_exact(g, k)
     _print_with_witness(args, result.value, result.witness)
     return 0
 
@@ -144,10 +144,12 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     if args.k is not None and not 3 <= args.k <= args.n:
         raise ValueError(f"--k {args.k} out of range 3..{args.n}")
     if args.find_f1:
+        if args.n != 6:
+            raise ValueError(f"--find-f1 searches six-vertex graphs; needs --n 6, got --n {args.n}")
         for g in locate_F1():
             print(to_graph6(g))
         return 0
-    records = survey_bounds(args.n, include_n8=args.include_n8, jobs=args.jobs)
+    records = survey_bounds(args.n, include_n8=args.include_n8)
     if args.k is not None:
         records = [r for r in records if r.k == args.k]
     if args.csv:
@@ -205,11 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact search (default)")
+    mode.add_argument("--exact", action="store_true",
+                      help=f"exact search, up to {MAX_KERNEL_VERTICES} vertices (default)")
     mode.add_argument("--cut-vertex", action="store_true", help="fast path for cut-vertex graphs")
     mode.add_argument("--bound", action="store_true", help="print the diameter upper bound")
     p.add_argument("--witness", help="write the witness coloring certificate here")
-    p.add_argument("--max-vertices", type=int, help="override the exact-search vertex budget (10)")
     p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("reduce", help="dominating-set decision through the gadget")
@@ -232,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write records here instead of stdout")
     p.add_argument("--find-f1", action="store_true", help="print the located extremal pair")
     p.add_argument("--include-n8", action="store_true", help="allow the slow n=8 survey")
-    p.add_argument("--threads", dest="jobs", type=int, default=1,
-                   help="worker processes for the index search; output order is unaffected")
 
     p = sub.add_parser("verify", help="check a coloring certificate at k")
     p.set_defaults(func=_cmd_verify)

@@ -49,7 +49,6 @@ from .graphs import (
 
 MAX_TREE_SUBSETS = 10_000_000
 MAX_DOMINATION_VERTICES = 20
-MAX_EXACT_VERTICES = 10
 
 
 @dataclass(frozen=True)
@@ -234,27 +233,26 @@ def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
     return MvxResult(tree.leaf_count + 1, VertexColoring(g, tuple(colors)), k, "cut-vertex")
 
 
-def mvx_exact(g: Graph, k: int, max_vertices: int = MAX_EXACT_VERTICES) -> MvxResult:
+def mvx_exact(g: Graph, k: int) -> MvxResult:
     """Maximum color count over all vertex colorings valid at k, read off
     ``mvx_profile``; asking for k = 2..n in turn searches once."""
     _check_index_args(g, k)
-    t, colors = mvx_profile(g, max_vertices)[k - 2]
+    t, colors = mvx_profile(g)[k - 2]
     return MvxResult(t, VertexColoring(g, colors), k, "exact-search")
 
 
 @lru_cache(maxsize=1)
-def mvx_profile(g: Graph, max_vertices: int = MAX_EXACT_VERTICES):
+def mvx_profile(g: Graph):
     """(mvx_k, witness colors) for k = 2..n from one least-excess search
     (module docstring). It starts at e = diam - 2, as mvx_k <= n - diam + 2,
     and each k at the e of k - 1, as validity only shrinks as k grows.
-    Refuses n above ``max_vertices``, or above MAX_KERNEL_VERTICES whatever
-    it says, before any table is built. The cache keeps the last call's
-    answer, keyed on both arguments, so a smaller budget is checked again.
+    Refuses n above MAX_KERNEL_VERTICES before any table is built.
     """
     _check_index_args(g, 2)
-    cap = min(max_vertices, MAX_KERNEL_VERTICES)
-    if g.n > cap:
-        raise BudgetError(f"exact search over {g.n} vertices exceeds the budget of {cap}")
+    if g.n > MAX_KERNEL_VERTICES:
+        raise BudgetError(
+            f"exact search over {g.n} vertices exceeds the budget of {MAX_KERNEL_VERTICES}"
+        )
     n, adj = g.n, g.adj
     down = _down_sets(n)
     closed = [0] * (1 << n)

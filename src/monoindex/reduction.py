@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .coloring import _int_token
 from .graphs import (
     Graph,
     closed_neighborhood,
@@ -155,30 +156,32 @@ def write_domination_certificates(certs) -> str:
 
 
 def parse_domination_certificates(text: str) -> list[DominationCertificate]:
+    """Read stanzas; a bad line is reported by its number, and a stanza may
+    name its ``kind:`` and its ``vertices:`` once each."""
     certs = []
-    kind = None
-    vertices: frozenset[int] | None = None
+    stanza: dict[str, str | frozenset[int]] = {}
 
     def flush():
-        nonlocal kind, vertices
-        if kind is None and vertices is None:
+        if not stanza:
             return
-        if kind is None or vertices is None:
+        if len(stanza) < 2:
             raise ValueError("certificate stanza needs both 'kind:' and 'vertices:'")
-        certs.append(DominationCertificate(vertices, kind))
-        kind = None
-        vertices = None
+        certs.append(DominationCertificate(stanza["vertices"], stanza["kind"]))
+        stanza.clear()
 
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             flush()
             continue
-        if line.startswith("kind:"):
-            kind = line.split(":", 1)[1].strip()
-        elif line.startswith("vertices:"):
-            vertices = frozenset(int(t) for t in line.split(":", 1)[1].split())
+        field, colon, value = line.partition(":")
+        if not colon or field not in ("kind", "vertices"):
+            raise ValueError(f"line {lineno}: unrecognized certificate line {line!r}")
+        if field in stanza:
+            raise ValueError(f"line {lineno}: a second {field!r} line in one stanza")
+        if field == "kind":
+            stanza[field] = value.strip()
         else:
-            raise ValueError(f"unrecognized certificate line {line!r}")
+            stanza[field] = frozenset(_int_token(t, "vertex", lineno) for t in value.split())
     flush()
     return certs

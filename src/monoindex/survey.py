@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 from .graphs import (
     BudgetError,
@@ -90,27 +89,19 @@ def upper_bound_applies(n: int, k: int) -> bool:
     return n >= 5 and k >= (n + 1) // 2
 
 
-def survey_bounds(n: int, include_n8: bool = False, jobs: int = 1) -> list[SurveyRecord]:
+def survey_bounds(n: int, include_n8: bool = False) -> list[SurveyRecord]:
     """All survey records for n, sorted by (n, g6, k); every verdict must pass.
 
     n = 8 costs minutes of exact search and sits behind ``include_n8``.
-    ``jobs`` > 1 fans the per-graph work over processes; ordering of the
-    result does not depend on it.
     """
     if not 4 <= n <= 8:
         raise ValueError(f"survey covers 4 <= n <= 8, got n={n}")
     if n > DEFAULT_SURVEY_CEILING and not include_n8:
         raise BudgetError("n = 8 takes minutes of exact search; pass include_n8=True")
-    if jobs < 1:
-        raise ValueError(f"jobs (survey --threads) must be at least 1, got {jobs}")
     # Enumeration output is canonical, and the complement of a co-connected
     # graph is co-connected, so each complement's class is one of these.
     graphs = list(enumerate_coconnected(n))
-    if jobs > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(mvx_profile, graphs)
-    else:
-        results = [mvx_profile(g) for g in graphs]
+    results = [mvx_profile(g) for g in graphs]
     g6s = [to_graph6(g) for g in graphs]
     values = dict(zip(g6s, results))
 

@@ -59,6 +59,10 @@ class TestMvx:
         code, out, _ = run_cli(capsys, "mvx", "--graph", to_graph6(cycle_graph(6)), "--k", "3")
         assert code == 0 and out.strip() == "3"
 
+    def test_exact_at_kernel_ceiling(self, capsys):
+        code, out, _ = run_cli(capsys, "mvx", "--graph", to_graph6(cycle_graph(12)), "--k", "3")
+        assert code == 0 and out == "3\n"
+
     def test_cut_vertex_route(self, capsys):
         code, out, _ = run_cli(
             capsys, "mvx", "--graph", to_graph6(path_graph(5)), "--k", "2", "--cut-vertex"
@@ -199,14 +203,26 @@ class TestErrors:
         code, out, err = run_cli(capsys, "survey", "--n", "4", "--k", k)
         assert code == 2 and out == "" and err.startswith("error:")
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_survey_threads_below_one(self, capsys, monkeypatch, threads):
+    @pytest.mark.parametrize("n", ["99", "-1", "8"])
+    def test_survey_find_f1_needs_n6(self, capsys, monkeypatch, n):
         def no_enumeration(*args, **kwargs):
-            raise AssertionError("survey enumerated despite --threads below 1")
+            raise AssertionError("--find-f1 enumerated despite --n other than 6")
 
         monkeypatch.setattr(survey, "enumerate_coconnected", no_enumeration)
-        code, out, err = run_cli(capsys, "survey", "--n", "4", "--threads", threads)
-        assert code == 2 and out == "" and err.startswith("error:")
+        code, out, err = run_cli(capsys, "survey", "--n", n, "--find-f1")
+        assert code == 2 and out == "" and err.startswith("error:") and "--n 6" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("survey", "--n", "4", "--threads", "2"),
+            ("mvx", "--graph", "Ch", "--k", "3", "--max-vertices", "4"),
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 
     def test_verify_beyond_budget_exits_2_quickly(self, capsys, tmp_path):
         # C(40, 20) is about 1.4e11 k-sets; the verifier must refuse, not scan
@@ -235,10 +251,9 @@ class TestErrors:
         assert code == 2 and out == "" and err.startswith("error:") and message in err
 
     def test_mvx_beyond_kernel_ceiling_exits_2_quickly(self, capsys):
-        # --max-vertices cannot lift the exact search past its table ceiling
         c30 = to_graph6(cycle_graph(30))
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "mvx", "--graph", c30, "--k", "3", "--max-vertices", "30")
+        code, out, err = run_cli(capsys, "mvx", "--graph", c30, "--k", "3")
         assert time.perf_counter() - start < 3.0
         assert code == 2 and out == "" and err.startswith("error:") and "budget" in err
 

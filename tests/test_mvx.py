@@ -164,19 +164,24 @@ class TestExactSearch:
         assert mvx_exact(path_graph(2), 2).value == 2
 
     def test_budget(self):
+        # the kernel ceiling is the one limit: n = 12 answers, n = 13 is refused
+        assert mvx_exact(cycle_graph(MAX_KERNEL_VERTICES), 3).value == 3
         with pytest.raises(BudgetError):
-            mvx_exact(complete_graph(8), 3, max_vertices=7)
+            mvx_exact(complete_graph(MAX_KERNEL_VERTICES + 1), 3)
 
     def test_cached_profile_never_bypasses_the_budget(self):
-        g = complete_graph(8)
-        assert mvx_exact(g, 3).value == 8
+        # refused also right after a cached answer for the graph below the ceiling
+        assert mvx_exact(cycle_graph(MAX_KERNEL_VERTICES), 3).value == 3
         with pytest.raises(BudgetError):
-            mvx_exact(g, 3, max_vertices=g.n - 1)
+            mvx_exact(cycle_graph(MAX_KERNEL_VERTICES + 1), 3)
 
     def test_kernel_ceiling_overrides_max_vertices(self):
+        # no budget parameter is left to override the ceiling
         g = cycle_graph(MAX_KERNEL_VERTICES + 1)
-        with pytest.raises(BudgetError, match=f"budget of {MAX_KERNEL_VERTICES}"):
+        with pytest.raises(TypeError):
             mvx_exact(g, 3, max_vertices=g.n)
+        with pytest.raises(BudgetError, match=f"budget of {MAX_KERNEL_VERTICES}"):
+            mvx_exact(g, 3)
 
     def test_agrees_with_rgs_oracle_exhaustively(self):
         # every connected graph with n <= 7, every k: the value of the old
@@ -205,7 +210,7 @@ class TestExactSearch:
             assert res.value == oracles.mvx_by_rgs_search(g, k)[0], (g.edges, k)
             assert res.witness.num_colors == res.value and verify_mvx_coloring(res.witness, k)
 
-    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
     def test_cycles_paths_and_their_complements_beyond_n8(self, n):
         cc = complement(cycle_graph(n))
         for k in range(3, n + 1):

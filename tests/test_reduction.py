@@ -107,6 +107,19 @@ class TestCertificates:
         ]
         assert parse_domination_certificates(write_domination_certificates(certs)) == certs
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kind: dominating\nvertices: 0 x\n", "line 2: vertex 'x' is not an integer"),
+            ("kind: dominating\nvertices: 0\n\nsize: 1\n", "line 4: unrecognized"),
+            ("kind: dominating\nkind: connected-dominating\nvertices: 0\n", "line 2: a second 'kind'"),
+            ("vertices: 0\nkind: dominating\nvertices: 1\n", "line 3: a second 'vertices'"),
+        ],
+    )
+    def test_bad_file_names_the_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_domination_certificates(text)
+
 
 class TestLiftProject:
     def test_lift_k3(self):

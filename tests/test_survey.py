@@ -113,14 +113,6 @@ class TestSurvey:
         assert SurveyRecord.grade(11, 8, 10) == "fail"
         assert SurveyRecord.grade(3, None, None) == "pass"
 
-    def test_jobs_do_not_change_output(self):
-        assert survey_csv_text(survey_bounds(5, jobs=2)) == survey_csv_text(survey_bounds(5))
-
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
-            survey_bounds(4, jobs=jobs)
-
     def test_n8_gated(self):
         from monoindex.graphs import BudgetError
 
