@@ -146,6 +146,8 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     if args.find_f1:
         if args.n != 6:
             raise ValueError(f"--find-f1 searches six-vertex graphs; needs --n 6, got --n {args.n}")
+        if args.csv or args.k is not None:
+            raise ValueError("--find-f1 prints graph6 lines; it takes neither --csv nor --k")
         for g in locate_F1():
             print(to_graph6(g))
         return 0

@@ -212,6 +212,17 @@ def _coverage_targets(g: Graph, k: int):
         yield s
 
 
+def _target_bits(g: Graph, k: int) -> int:
+    """``_coverage_targets(g, k)`` as one 2^n-bit int. From k = 3 on every
+    k-set is a target, so that int is built once per (n, k)."""
+    return sum(1 << s for s in _coverage_targets(g, 2)) if k == 2 else _k_set_bits(g.n, k)
+
+
+@lru_cache(maxsize=None)
+def _k_set_bits(n: int, k: int) -> int:
+    return sum(1 << s for s in k_subsets(n, k))
+
+
 @lru_cache(maxsize=None)
 def _down_sets(n: int) -> list[int]:
     """down[mask], a 2^n-bit int with bit s set for every subset s of mask:

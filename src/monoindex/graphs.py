@@ -436,8 +436,18 @@ def _reps(n: int, connected: bool) -> tuple[Graph, ...]:
     """Canonical representatives on n vertices in ascending canonical code.
 
     Each (n-1)-vertex representative is extended by every neighborhood of a
-    new last vertex. Connected graphs need only connected parents and a
-    nonempty neighborhood: every connected graph has a non-cut vertex.
+    new last vertex v = n - 1, and a child is canonicalized only if no
+    vertex u whose deletion keeps the kind has f(u) > f(v), where f(u) is
+    (deg u, sum of the degrees of u's neighbors): for connected graphs
+    those u are the non-cut vertices, else every vertex.
+
+    No class is lost: let w maximize f over those vertices of a class G (a
+    connected graph on two or more vertices has a non-cut vertex). G - w
+    has the same kind, so some parent P is its canonical copy, and that
+    isomorphism with w -> v makes a child P + v isomorphic to G, in which
+    v maximizes f because f and the kind of a deletion are invariant.
+    Ties pass, and the dict keyed by canonical code drops the duplicates,
+    so the output is what canonicalizing every child would give.
     """
     if not 1 <= n <= ENUMERATION_MAX_VERTICES:
         raise BudgetError(
@@ -445,12 +455,22 @@ def _reps(n: int, connected: bool) -> tuple[Graph, ...]:
         )
     if n == 1:
         return (Graph(1, (0,)),)
+    v = n - 1
     found: dict[int, Graph] = {}
-    for parent in _reps(n - 1, connected):
-        for mask in range(int(connected), 1 << (n - 1)):
-            adj = tuple(
-                parent.adj[i] | ((mask >> i & 1) << (n - 1)) for i in range(n - 1)
-            ) + (mask,)
+    for parent in _reps(v, connected):
+        # u is a non-cut vertex of parent + v iff v meets every part of parent - u
+        parts = [connected_components(parent, parent.full_mask & ~(1 << u)) for u in range(v)]
+        for mask in range(int(connected), 1 << v):
+            adj = tuple(parent.adj[i] | (mask >> i & 1) << v for i in range(v)) + (mask,)
+            deg = [row.bit_count() for row in adj]
+            dv, sv = deg[v], sum(deg[w] for w in iter_bits(mask))
+            if any(
+                # f(u) > f(v); u's neighbor sum is needed only on a degree tie
+                (deg[u] > dv or deg[u] == dv and sum(deg[w] for w in iter_bits(adj[u])) > sv)
+                and (not connected or all(part & mask for part in parts[u]))
+                for u in range(v)
+            ):
+                continue
             code, canon = _canonical(Graph(n, adj))
             if code not in found:
                 found[code] = canon

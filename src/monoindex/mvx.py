@@ -29,9 +29,9 @@ from .coloring import (
     MAX_KERNEL_VERTICES,
     VertexColoring,
     _check_index_args,
-    _coverage_targets,
     _down_sets,
     _least_excess,
+    _target_bits,
     verify_mvx_coloring,
 )
 from .graphs import (
@@ -269,7 +269,7 @@ def mvx_profile(g: Graph):
             reach = grown
         if reach == mask:
             blocks[mask] = closed[mask]
-    target_sets = [sum(1 << s for s in _coverage_targets(g, k)) & ~base for k in range(2, n + 1)]
+    target_sets = [_target_bits(g, k) & ~base for k in range(2, n + 1)]
     found = _least_excess(n, n, blocks, target_sets, max(diameter(g) - 2, 0), least=1)
     return tuple((n - e, colors) for e, colors in found)
 

@@ -23,8 +23,8 @@ from .coloring import (
     MAX_KERNEL_VERTICES,
     EdgeColoring,
     _check_index_args,
-    _coverage_targets,
     _least_excess,
+    _target_bits,
     color_classes,
     verify_mx_coloring,
 )
@@ -159,7 +159,7 @@ def mx_exact_bruteforce(g: Graph, k: int, max_edges: int = MAX_BRUTEFORCE_EDGES)
     for size, cap, noun in ((g.n, MAX_KERNEL_VERTICES, "vertices"), (g.m, max_edges, "edges")):
         if size > cap:
             raise BudgetError(f"subtree search over {size} {noun} exceeds the budget of {cap}")
-    targets = sum(1 << s for s in _coverage_targets(g, k))
+    targets = _target_bits(g, k)
     # a tree that holds a target has max(k, 3) vertices or more
     [(e, colors)] = _least_excess(g.n, g.m, _subtrees(g), [targets], 0, max(k, 3) - 2)
     return MxResult(g.m - e, EdgeColoring(g, colors), k)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .graphs import (
     BudgetError,
     Graph,
-    canonical_form,
     complement,
     complete_bipartite_graph,
     enumerate_connected_graphs,
@@ -92,24 +91,18 @@ def upper_bound_applies(n: int, k: int) -> bool:
 def survey_bounds(n: int, include_n8: bool = False) -> list[SurveyRecord]:
     """All survey records for n, sorted by (n, g6, k); every verdict must pass.
 
-    n = 8 costs minutes of exact search and sits behind ``include_n8``.
+    n = 8 takes about half a minute, mostly enumeration, and sits behind
+    ``include_n8``.
     """
     if not 4 <= n <= 8:
         raise ValueError(f"survey covers 4 <= n <= 8, got n={n}")
     if n > DEFAULT_SURVEY_CEILING and not include_n8:
-        raise BudgetError("n = 8 takes minutes of exact search; pass include_n8=True")
-    # Enumeration output is canonical, and the complement of a co-connected
-    # graph is co-connected, so each complement's class is one of these.
-    graphs = list(enumerate_coconnected(n))
-    results = [mvx_profile(g) for g in graphs]
-    g6s = [to_graph6(g) for g in graphs]
-    values = dict(zip(g6s, results))
-
+        raise BudgetError("n = 8 takes about half a minute; pass include_n8=True")
     records = []
-    for g, g6, vals_g in zip(graphs, g6s, results):
+    for g in enumerate_coconnected(n):
         gbar = complement(g)
-        g6bar = to_graph6(gbar)
-        vals_gbar = values[to_graph6(canonical_form(gbar))]
+        g6, g6bar = to_graph6(g), to_graph6(gbar)
+        vals_g, vals_gbar = mvx_profile(g), mvx_profile(gbar)
         for k in range(3, n + 1):
             a, b = vals_g[k - 2][0], vals_gbar[k - 2][0]
             lower = expected_lower_bound(n, k) if n >= 5 else None

@@ -7,7 +7,9 @@ minima instead of the pruned canonical search, explicit subtree enumeration
 instead of the component-coverage reduction. The exceptions are
 ``mvx_by_rgs_search`` and ``mx_by_rgs_search``, the library's earlier exact
 index searches over every set partition, kept as the slow paths the one
-least-excess block search behind both indices is checked against.
+least-excess block search behind both indices is checked against, and
+``reps_by_full_extension``, the library's earlier enumerator, which
+canonicalizes every one-vertex extension of every parent.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from monoindex.coloring import _all_covered, _coverage_targets, _edge_covers, _vertex_covers
-from monoindex.graphs import diameter
+from monoindex.graphs import ENUMERATION_MAX_VERTICES, BudgetError, Graph, _canonical, diameter
 from monoindex.partitions import set_partitions_with_blocks
 
 
@@ -177,3 +179,28 @@ def mx_by_rgs_search(g, k: int):
             if _all_covered(subsets, _edge_covers(g, colors)):
                 return t, colors
     raise RuntimeError("unreachable: one color is always valid on a connected graph")
+
+
+def reps_by_full_extension(n: int, connected: bool) -> tuple[Graph, ...]:
+    """Canonical representatives on n vertices in ascending canonical code.
+
+    Each (n-1)-vertex representative is extended by every neighborhood of a
+    new last vertex. Connected graphs need only connected parents and a
+    nonempty neighborhood: every connected graph has a non-cut vertex.
+    """
+    if not 1 <= n <= ENUMERATION_MAX_VERTICES:
+        raise BudgetError(
+            f"enumeration is supported for 1 <= n <= {ENUMERATION_MAX_VERTICES}, got n={n}"
+        )
+    if n == 1:
+        return (Graph(1, (0,)),)
+    found: dict[int, Graph] = {}
+    for parent in reps_by_full_extension(n - 1, connected):
+        for mask in range(int(connected), 1 << (n - 1)):
+            adj = tuple(
+                parent.adj[i] | ((mask >> i & 1) << (n - 1)) for i in range(n - 1)
+            ) + (mask,)
+            code, canon = _canonical(Graph(n, adj))
+            if code not in found:
+                found[code] = canon
+    return tuple(g for _, g in sorted(found.items()))

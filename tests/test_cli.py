@@ -212,6 +212,17 @@ class TestErrors:
         code, out, err = run_cli(capsys, "survey", "--n", n, "--find-f1")
         assert code == 2 and out == "" and err.startswith("error:") and "--n 6" in err
 
+    @pytest.mark.parametrize("option", [("--csv", "f1.csv"), ("--k", "4")])
+    def test_survey_find_f1_refuses_csv_and_k(self, capsys, monkeypatch, tmp_path, option):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("--find-f1 enumerated despite an option it ignores")
+
+        monkeypatch.setattr(survey, "enumerate_coconnected", no_enumeration)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "survey", "--n", "6", "--find-f1", *option)
+        assert code == 2 and out == "" and err.startswith("error:") and option[0] in err
+        assert not (tmp_path / "f1.csv").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,9 +1,11 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoindex import graphs
 from monoindex.graphs import (
     BudgetError,
     Graph,
@@ -40,6 +42,11 @@ import oracles
 def random_graph(n: int, edge_mask: int) -> Graph:
     pairs = list(itertools.combinations(range(n), 2))
     return from_edges(n, [pairs[i] for i in range(len(pairs)) if edge_mask >> i & 1])
+
+
+@lru_cache(maxsize=None)
+def class_codes(n: int, connected: bool) -> frozenset[int]:
+    return frozenset(canonical_code(g) for g in graphs._reps(n, connected))
 
 
 class TestGraphBasics:
@@ -223,6 +230,36 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetError):
             next(enumerate_connected_graphs(9))
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_filter_matches_full_extension(self, connected):
+        # the filter only skips candidates: same classes, same order, same labels
+        for n in range(1, 7):
+            assert graphs._reps(n, connected) == oracles.reps_by_full_extension(n, connected)
+
+    @given(st.integers(1, 7), st.integers(0, 2**21 - 1), st.permutations(range(7)))
+    @settings(max_examples=150, deadline=None)
+    def test_relabeled_graph_has_its_class_enumerated(self, n, mask, perm):
+        g = random_graph(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
+        perm = [p for p in perm if p < n]
+        relabeled = from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+        code = canonical_code(relabeled)
+        assert code in class_codes(n, False)
+        assert (code in class_codes(n, True)) == is_connected(g)
+
+    def test_filter_canonicalizes_about_one_candidate_per_class(self, monkeypatch):
+        calls = [0]
+        canonical = graphs._canonical
+
+        def counted(g):
+            calls[0] += 1
+            return canonical(g)
+
+        monkeypatch.setattr(graphs, "_canonical", counted)
+        graphs._reps.cache_clear()
+        assert len(graphs._reps(7, True)) == 853
+        # full extension canonicalizes 7,815 candidates for these 853 classes
+        assert calls[0] <= 2000
 
     def test_canonical_code_permutation_invariant(self):
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
