@@ -379,88 +379,126 @@ def canonical_form(g: Graph) -> Graph:
     return _canonical(g)[1]
 
 
-def _canonical(g: Graph) -> tuple[int, Graph]:
+def _canonical(g: Graph) -> tuple[int, Graph, frozenset[tuple[int, ...]]]:
+    """(code, canonical graph, automorphisms of the canonical graph that the
+    search met on the way, each a tuple p sending vertex i to p[i])."""
     n = g.n
     if n == 1:
-        return 0, g
+        return 0, g, frozenset()
     adj = g.adj
+    full = (1 << n) - 1
     # Orderings are grown one position at a time; the frontier holds every
     # ordering prefix that still achieves the minimal bitstring.
     frontier = [((v,), 1 << v) for v in range(n)]
     code = 0
-    full = (1 << n) - 1
+    # each move pairs up p[i] and q[i] for two orders p, q over one vertex set
+    # with the same code and the same edges to the rest; p[i] -> q[i], fixing
+    # every other vertex, is an automorphism of g
+    moves = set()
     for pos in range(1, n):
-        best = -1
+        best = 1 << pos
         ext = []
         for order, placed in frontier:
-            for v in range(n):
-                if placed >> v & 1:
-                    continue
-                row = adj[v]
-                col = 0
-                for u in order:
-                    col = col << 1 | (row >> u & 1)
-                if best < 0 or col < best:
-                    best = col
-                    ext = [(order + (v,), placed | 1 << v)]
-                elif col == best:
-                    ext.append((order + (v,), placed | 1 << v))
+            # the least column over the unplaced vertices, bit by bit, and
+            # every vertex that has it
+            cand = full & ~placed
+            col = 0
+            for u in order:
+                zero = cand & ~adj[u]
+                if zero:
+                    cand = zero
+                    col <<= 1
+                else:
+                    col = col << 1 | 1
+            if col > best:
+                continue
+            if col < best:
+                best = col
+                ext = []
+            ext.extend((order + (v,), placed | 1 << v) for v in iter_bits(cand))
         if len(ext) > n:
             # Prefixes of highly symmetric graphs tie in droves; two prefixes
-            # over the same vertex set with identical column patterns for all
-            # unplaced vertices have identical futures, so keep one of each.
+            # over the same vertex set with identical edges to the unplaced
+            # vertices have identical futures, so keep one of each.
             unique = {}
             for order, placed in ext:
-                sig = []
-                for v in iter_bits(full & ~placed):
-                    row = adj[v]
-                    col = 0
-                    for u in order:
-                        col = col << 1 | (row >> u & 1)
-                    sig.append(col)
-                unique.setdefault((placed, tuple(sig)), (order, placed))
+                rest = full & ~placed
+                key = (placed, tuple(adj[u] & rest for u in order))
+                kept = unique.setdefault(key, (order, placed))[0]
+                if kept is not order:
+                    moves.add(frozenset(zip(order, kept)))
             ext = list(unique.values())
         frontier = ext
         code = code << pos | best
     order = frontier[0][0]
-    rows = [0] * n
-    for i, u in enumerate(order):
-        for j, v in enumerate(order):
-            if adj[u] >> v & 1:
-                rows[i] |= 1 << j
-    return code, Graph(n, tuple(rows))
+    at = {u: i for i, u in enumerate(order)}
+    moves.update(frozenset(zip(other, order)) for other, _ in frontier[1:])
+    auts = set()
+    for move in moves:
+        perm = list(range(n))
+        for a, b in move:
+            perm[at[a]] = at[b]
+        auts.add(tuple(perm))
+    rows = tuple(mask_from(at[w] for w in iter_bits(adj[u])) for u in order)
+    return code, Graph(n, rows), frozenset(auts)
+
+
+def _reps(n: int, connected: bool) -> tuple[Graph, ...]:
+    """Canonical representatives on n vertices in ascending canonical code."""
+    return tuple(g for g, _ in _classes(n, connected))
 
 
 @lru_cache(maxsize=None)
-def _reps(n: int, connected: bool) -> tuple[Graph, ...]:
-    """Canonical representatives on n vertices in ascending canonical code.
+def _classes(n: int, connected: bool) -> tuple[tuple[Graph, frozenset], ...]:
+    """Each representative with the automorphisms its canonical searches found.
 
-    Each (n-1)-vertex representative is extended by every neighborhood of a
-    new last vertex v = n - 1, and a child is canonicalized only if no
-    vertex u whose deletion keeps the kind has f(u) > f(v), where f(u) is
-    (deg u, sum of the degrees of u's neighbors): for connected graphs
-    those u are the non-cut vertices, else every vertex.
+    Each (n-1)-vertex representative is extended by the least neighborhood
+    in each orbit of its known automorphisms, as the neighborhood of a new
+    last vertex v = n - 1, and a child is canonicalized only if no vertex u
+    whose deletion keeps the kind has f(u) > f(v), where f(u) is (deg u,
+    sum of the degrees of u's neighbors): for connected graphs those u are
+    the non-cut vertices, else every vertex.
 
     No class is lost: let w maximize f over those vertices of a class G (a
     connected graph on two or more vertices has a non-cut vertex). G - w
     has the same kind, so some parent P is its canonical copy, and that
     isomorphism with w -> v makes a child P + v isomorphic to G, in which
-    v maximizes f because f and the kind of a deletion are invariant.
-    Ties pass, and the dict keyed by canonical code drops the duplicates,
-    so the output is what canonicalizing every child would give.
+    v maximizes f because f and the kind of a deletion are invariant. An
+    automorphism of P carries that neighborhood to any other in its orbit
+    and gives an isomorphic child in which v still maximizes f, so the
+    orbit's least one serves. Ties pass, and the dict keyed by canonical
+    code drops the duplicates, so the output is what canonicalizing every
+    child would give.
     """
     if not 1 <= n <= ENUMERATION_MAX_VERTICES:
         raise BudgetError(
             f"enumeration is supported for 1 <= n <= {ENUMERATION_MAX_VERTICES}, got n={n}"
         )
     if n == 1:
-        return (Graph(1, (0,)),)
+        return ((Graph(1, (0,)), frozenset()),)
     v = n - 1
-    found: dict[int, Graph] = {}
-    for parent in _reps(v, connected):
+    found: dict[int, tuple[Graph, set]] = {}
+    for parent, auts in _classes(v, connected):
         # u is a non-cut vertex of parent + v iff v meets every part of parent - u
         parts = [connected_components(parent, parent.full_mask & ~(1 << u)) for u in range(v)]
+        images = []  # images[k][mask]: mask moved by the k-th automorphism
+        for perm in auts:
+            image = [0] * (1 << v)
+            for mask in range(1, 1 << v):
+                low = mask & -mask
+                image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+            images.append(image)
+        seen = bytearray(1 << v)
         for mask in range(int(connected), 1 << v):
+            if seen[mask]:
+                continue
+            orbit = [mask]
+            seen[mask] = 1
+            for other in orbit:
+                for image in images:
+                    if not seen[image[other]]:
+                        seen[image[other]] = 1
+                        orbit.append(image[other])
             adj = tuple(parent.adj[i] | (mask >> i & 1) << v for i in range(v)) + (mask,)
             deg = [row.bit_count() for row in adj]
             dv, sv = deg[v], sum(deg[w] for w in iter_bits(mask))
@@ -471,10 +509,9 @@ def _reps(n: int, connected: bool) -> tuple[Graph, ...]:
                 for u in range(v)
             ):
                 continue
-            code, canon = _canonical(Graph(n, adj))
-            if code not in found:
-                found[code] = canon
-    return tuple(g for _, g in sorted(found.items()))
+            code, canon, child_auts = _canonical(Graph(n, adj))
+            found.setdefault(code, (canon, set()))[1].update(child_auts)
+    return tuple((g, frozenset(a)) for _, (g, a) in sorted(found.items()))
 
 
 def enumerate_connected_graphs(n: int):

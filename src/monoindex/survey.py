@@ -91,13 +91,13 @@ def upper_bound_applies(n: int, k: int) -> bool:
 def survey_bounds(n: int, include_n8: bool = False) -> list[SurveyRecord]:
     """All survey records for n, sorted by (n, g6, k); every verdict must pass.
 
-    n = 8 takes about half a minute, mostly enumeration, and sits behind
-    ``include_n8``.
+    n = 8 takes about 15 s (14-15 s on 2 cores with Python 3.11.7), about
+    half of it enumeration, and sits behind ``include_n8``.
     """
     if not 4 <= n <= 8:
         raise ValueError(f"survey covers 4 <= n <= 8, got n={n}")
     if n > DEFAULT_SURVEY_CEILING and not include_n8:
-        raise BudgetError("n = 8 takes about half a minute; pass include_n8=True")
+        raise BudgetError("n = 8 takes about 15 s; pass include_n8=True")
     records = []
     for g in enumerate_coconnected(n):
         gbar = complement(g)

@@ -8,8 +8,12 @@ instead of the component-coverage reduction. The exceptions are
 ``mvx_by_rgs_search`` and ``mx_by_rgs_search``, the library's earlier exact
 index searches over every set partition, kept as the slow paths the one
 least-excess block search behind both indices is checked against, and
-``reps_by_full_extension``, the library's earlier enumerator, which
-canonicalizes every one-vertex extension of every parent.
+the library's earlier canonical search and enumerators:
+``canonical_by_columns`` builds every unplaced vertex's column bit by bit,
+``reps_by_invariant_filter`` extends a parent by every neighborhood that
+passes the invariant filter (with that canonical search), and
+``reps_by_full_extension`` canonicalizes every one-vertex extension of
+every parent.
 """
 
 from __future__ import annotations
@@ -17,7 +21,15 @@ from __future__ import annotations
 import itertools
 
 from monoindex.coloring import _all_covered, _coverage_targets, _edge_covers, _vertex_covers
-from monoindex.graphs import ENUMERATION_MAX_VERTICES, BudgetError, Graph, _canonical, diameter
+from monoindex.graphs import (
+    ENUMERATION_MAX_VERTICES,
+    BudgetError,
+    Graph,
+    _canonical,
+    connected_components,
+    diameter,
+    iter_bits,
+)
 from monoindex.partitions import set_partitions_with_blocks
 
 
@@ -200,7 +212,93 @@ def reps_by_full_extension(n: int, connected: bool) -> tuple[Graph, ...]:
             adj = tuple(
                 parent.adj[i] | ((mask >> i & 1) << (n - 1)) for i in range(n - 1)
             ) + (mask,)
-            code, canon = _canonical(Graph(n, adj))
+            code, canon = _canonical(Graph(n, adj))[:2]
+            if code not in found:
+                found[code] = canon
+    return tuple(g for _, g in sorted(found.items()))
+
+
+def canonical_by_columns(g: Graph) -> tuple[int, Graph]:
+    """(lexicographically least adjacency code, canonical graph) by growing
+    every ordering prefix that achieves the least code so far, one column
+    per unplaced vertex; tied prefixes over one vertex set whose unplaced
+    vertices have the same columns are merged."""
+    n = g.n
+    if n == 1:
+        return 0, g
+    adj = g.adj
+    frontier = [((v,), 1 << v) for v in range(n)]
+    code = 0
+    full = (1 << n) - 1
+    for pos in range(1, n):
+        best = -1
+        ext = []
+        for order, placed in frontier:
+            for v in range(n):
+                if placed >> v & 1:
+                    continue
+                row = adj[v]
+                col = 0
+                for u in order:
+                    col = col << 1 | (row >> u & 1)
+                if best < 0 or col < best:
+                    best = col
+                    ext = [(order + (v,), placed | 1 << v)]
+                elif col == best:
+                    ext.append((order + (v,), placed | 1 << v))
+        if len(ext) > n:
+            unique = {}
+            for order, placed in ext:
+                sig = []
+                for v in iter_bits(full & ~placed):
+                    row = adj[v]
+                    col = 0
+                    for u in order:
+                        col = col << 1 | (row >> u & 1)
+                    sig.append(col)
+                unique.setdefault((placed, tuple(sig)), (order, placed))
+            ext = list(unique.values())
+        frontier = ext
+        code = code << pos | best
+    order = frontier[0][0]
+    rows = [0] * n
+    for i, u in enumerate(order):
+        for j, v in enumerate(order):
+            if adj[u] >> v & 1:
+                rows[i] |= 1 << j
+    return code, Graph(n, tuple(rows))
+
+
+def reps_by_invariant_filter(n: int, connected: bool) -> tuple[Graph, ...]:
+    """Canonical representatives on n vertices in ascending canonical code.
+
+    Each parent is extended by every neighborhood of a new last vertex v,
+    and a child is canonicalized (by ``canonical_by_columns``) only if no
+    vertex u whose deletion keeps the kind has f(u) > f(v), with f(u) =
+    (deg u, sum of the degrees of u's neighbors).
+    """
+    if not 1 <= n <= ENUMERATION_MAX_VERTICES:
+        raise BudgetError(
+            f"enumeration is supported for 1 <= n <= {ENUMERATION_MAX_VERTICES}, got n={n}"
+        )
+    if n == 1:
+        return (Graph(1, (0,)),)
+    v = n - 1
+    found: dict[int, Graph] = {}
+    for parent in reps_by_invariant_filter(v, connected):
+        # u is a non-cut vertex of parent + v iff v meets every part of parent - u
+        parts = [connected_components(parent, parent.full_mask & ~(1 << u)) for u in range(v)]
+        for mask in range(int(connected), 1 << v):
+            adj = tuple(parent.adj[i] | (mask >> i & 1) << v for i in range(v)) + (mask,)
+            deg = [row.bit_count() for row in adj]
+            dv, sv = deg[v], sum(deg[w] for w in iter_bits(mask))
+            if any(
+                (deg[u] > dv or deg[u] == dv and sum(deg[w] for w in iter_bits(adj[u])) > sv)
+                and (not connected or all(part & mask for part in parts[u]))
+                for u in range(v)
+            ):
+                continue
+            code, canon = canonical_by_columns(Graph(n, adj))
             if code not in found:
                 found[code] = canon
     return tuple(g for _, g in sorted(found.items()))

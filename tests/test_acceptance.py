@@ -145,7 +145,16 @@ def test_c04_cut_vertex_fast_path():
                 assert mvx_exact(g, k).value == leaves + 1, (n, g.edges, k)
                 assert mvx_via_cut_vertex(g, k).value == leaves + 1, (n, g.edges, k)
                 checked += 1
-    report(4, f"cut-vertex value l(T_max)+1 matches exact search at every k, n<=6 ({checked} cases)")
+    # n = 7, 385 graphs: the fast path's value does not read k and each call
+    # rebuilds its max-leaf tree, so it is read once per graph
+    for g in enumerate_connected_graphs(7):
+        if not cut_vertices(g):
+            continue
+        fast = mvx_via_cut_vertex(g, 2).value
+        for k in range(2, 8):
+            assert mvx_exact(g, k).value == fast, (7, g.edges, k)
+            checked += 1
+    report(4, f"cut-vertex value l(T_max)+1 matches exact search at every k, n<=7 ({checked} cases)")
 
 
 def test_c05_reduction_round_trip():

@@ -44,6 +44,28 @@ def random_graph(n: int, edge_mask: int) -> Graph:
     return from_edges(n, [pairs[i] for i in range(len(pairs)) if edge_mask >> i & 1])
 
 
+def is_automorphism(g: Graph, perm) -> bool:
+    """perm (vertex i -> perm[i]) is a bijection that maps edges onto edges."""
+    return sorted(perm) == list(range(g.n)) and all(
+        mask_from(perm[w] for w in range(g.n) if g.adj[u] >> w & 1) == g.adj[perm[u]]
+        for u in range(g.n)
+    )
+
+
+def count_canonical_calls(monkeypatch, n: int, connected: bool) -> tuple[int, int]:
+    """(classes, canonical searches) of a cold enumeration of every level up to n."""
+    calls = [0]
+    canonical = graphs._canonical
+
+    def counted(g):
+        calls[0] += 1
+        return canonical(g)
+
+    monkeypatch.setattr(graphs, "_canonical", counted)
+    graphs._classes.cache_clear()  # every level's representatives live in this cache
+    return len(graphs._reps(n, connected)), calls[0]
+
+
 @lru_cache(maxsize=None)
 def class_codes(n: int, connected: bool) -> frozenset[int]:
     return frozenset(canonical_code(g) for g in graphs._reps(n, connected))
@@ -198,6 +220,32 @@ class TestDiameter:
             diameter(from_edges(3, [(0, 1)]))
 
 
+class TestCanonicalForm:
+    @staticmethod
+    def check_against_oracle(g: Graph) -> None:
+        code, canon, auts = graphs._canonical(g)
+        assert (code, canon) == oracles.canonical_by_columns(g), g.edges
+        assert all(is_automorphism(canon, perm) for perm in auts), g.edges
+
+    def test_matches_column_oracle_on_every_labelled_graph(self):
+        for n in range(1, 6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                self.check_against_oracle(random_graph(n, mask))
+
+    def test_matches_column_oracle_on_named_families(self):
+        for n in range(1, 10):
+            family = [complete_graph(n), Graph(n, (0,) * n), star_graph(n), path_graph(n)]
+            if n >= 3:
+                family.append(cycle_graph(n))
+            for g in family:
+                self.check_against_oracle(g)
+
+    @given(st.integers(6, 9), st.integers(0, 2**36 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_column_oracle_on_random_graphs(self, n, mask):
+        self.check_against_oracle(random_graph(n, mask & ((1 << (n * (n - 1) // 2)) - 1)))
+
+
 class TestEnumeration:
     def test_counts(self):
         expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -248,18 +296,33 @@ class TestEnumeration:
         assert (code in class_codes(n, True)) == is_connected(g)
 
     def test_filter_canonicalizes_about_one_candidate_per_class(self, monkeypatch):
-        calls = [0]
-        canonical = graphs._canonical
+        classes, calls = count_canonical_calls(monkeypatch, 7, True)
+        assert classes == 853
+        # full extension canonicalizes 7,815 candidates for these 853 classes;
+        # each class needs at least one call, so a warm cache cannot pass
+        assert 853 <= calls <= 2000
 
-        def counted(g):
-            calls[0] += 1
-            return canonical(g)
+    def test_orbit_pruning_keeps_canonical_calls_under_1150(self, monkeypatch):
+        # the invariant filter alone makes 1,701 calls here
+        classes, calls = count_canonical_calls(monkeypatch, 7, True)
+        assert classes == 853
+        assert 853 <= calls <= 1150
 
-        monkeypatch.setattr(graphs, "_canonical", counted)
-        graphs._reps.cache_clear()
-        assert len(graphs._reps(7, True)) == 853
-        # full extension canonicalizes 7,815 candidates for these 853 classes
-        assert calls[0] <= 2000
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_matches_invariant_filter_oracle(self, connected):
+        # orbit pruning only skips candidates: same classes, same order, same labels
+        for n in range(1, 8 if connected else 7):
+            assert graphs._reps(n, connected) == oracles.reps_by_invariant_filter(n, connected)
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_pruning_permutations_are_automorphisms(self, connected):
+        used = 0
+        for n in range(1, 8):
+            for g, auts in graphs._classes(n, connected):
+                for perm in auts:
+                    assert is_automorphism(g, perm), (n, g.edges, perm)
+                    used += 1
+        assert used > 0
 
     def test_canonical_code_permutation_invariant(self):
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
