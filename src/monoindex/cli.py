@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .coloring import (
@@ -187,6 +188,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monoindex",

@@ -197,10 +197,12 @@ def connected_domination_number(g: Graph, max_vertices: int = MAX_DOMINATION_VER
 
 
 def _max_leaf_tree(g: Graph) -> SpanningTreeResult:
-    """Exact max-leaf tree by subset scan when cheap, else via a minimum
-    connected dominating set (exact by the leaf/domination duality, which the
-    test suite validates against the subset scan on every small graph)."""
-    if comb(g.m, g.n - 1) <= 50_000:
+    """Exact max-leaf tree by the cheaper exact search: the subset scan when
+    its C(m, n-1) edge sets number at most min(50,000, 2^n), so that long
+    trees past the domination cap still fit; else a minimum connected
+    dominating set (exact by the leaf/domination duality, which the test
+    suite checks against the subset scan on every small graph)."""
+    if comb(g.m, g.n - 1) <= min(50_000, 1 << g.n):
         return max_leaf_spanning_tree(g)
     core = minimum_connected_dominating_set(g)
     return _tree_from_core(g, core, (core & -core).bit_length() - 1)

@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve exhaustive criteria, one test per criterion.
+"""Acceptance suite: thirteen exhaustive criteria, one test per criterion.
 
 Every assertion is exact integer equality (or an exact set comparison);
 nothing is tolerance-calibrated. Each test prints one PASS line on the way
@@ -35,6 +35,7 @@ from monoindex.mvx import (
     connected_domination_number,
     max_leaf_spanning_tree,
     mvx_exact,
+    mvx_profile,
     mvx_via_cut_vertex,
 )
 from monoindex.mx import construct_extremal_mx, mx_exact_bruteforce
@@ -145,14 +146,15 @@ def test_c04_cut_vertex_fast_path():
                 assert mvx_exact(g, k).value == leaves + 1, (n, g.edges, k)
                 assert mvx_via_cut_vertex(g, k).value == leaves + 1, (n, g.edges, k)
                 checked += 1
-    # n = 7, 385 graphs: the fast path's value does not read k and each call
-    # rebuilds its max-leaf tree, so it is read once per graph
+    # n = 7, 385 graphs: the fast path at every k, each witness checked
     for g in enumerate_connected_graphs(7):
         if not cut_vertices(g):
             continue
-        fast = mvx_via_cut_vertex(g, 2).value
         for k in range(2, 8):
-            assert mvx_exact(g, k).value == fast, (7, g.edges, k)
+            fast = mvx_via_cut_vertex(g, k)
+            assert fast.value == mvx_exact(g, k).value, (7, g.edges, k)
+            assert fast.witness.num_colors == fast.value, (7, g.edges, k)
+            assert verify_mvx_coloring(fast.witness, k), (7, g.edges, k)
             checked += 1
     report(4, f"cut-vertex value l(T_max)+1 matches exact search at every k, n<=7 ({checked} cases)")
 
@@ -343,6 +345,23 @@ def test_c12_main_theorem_exhaustive():
     assert (len(six), len(above)) == (112, 23)
     report(12, f"edge index equals m-n+2 at every k >= 3 on all connected n<=6 "
                f"({checked} graphs); mx_2 exceeds it on 23 of 112 at n=6")
+
+
+def test_c13_gadget_index_by_exact_search():
+    # the gadget's index at every k, by the cut-vertex formula and by exact
+    # search, for every source graph with 3 <= n <= 5 (gadgets of 8-12 vertices)
+    sources = checked = 0
+    for n in range(3, 6):
+        for g in enumerate_graphs(n):
+            sources += 1
+            gadget = build_gadget(g).gadget
+            profile = mvx_profile(gadget)
+            for k in range(2, gadget.n + 1):
+                assert profile[k - 2][0] == mvx_via_cut_vertex(gadget, k).value, (n, g.edges, k)
+                checked += 1
+    assert sources == 49
+    report(13, f"reduction gadget's index l(T_max)+1 matches exact search at every k, "
+               f"all 49 sources with 3<=n<=5 ({checked} cases)")
 
 
 SURVEY_CSV_SHA256 = {

@@ -1,4 +1,9 @@
+import argparse
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,7 @@ from monoindex.graphs import (
     to_edge_list,
     to_graph6,
 )
+from monoindex.reduction import build_gadget
 
 
 def run_cli(capsys, *argv):
@@ -285,3 +291,40 @@ class TestErrors:
         code, out, err = run_cli(capsys, "mvx", "--graph", str(graph), "--k", "2", "--bound")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_errors_leave_no_state_behind(self, capsys, tmp_path):
+        # a gadget with a cut vertex and 10 vertices, as the reduce path sees it
+        g6 = to_graph6(build_gadget(path_graph(4)).gadget)
+        argv = ["mvx", "--graph", g6, "--k", "3", "--cut-vertex"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--bound"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "mvx", "--graph", g6, "--k", "99", "--cut-vertex")
+        assert code == 2 and out == "" and "out of range" in err
+        code, out, err = run_cli(capsys, *argv, "--witness", str(tmp_path / "here.txt"))
+        assert code == 0 and err == ""
+
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "monoindex.cli", *argv, "--witness", str(tmp_path / "fresh.txt")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out == fresh.stdout == "8\n"
+        assert (tmp_path / "here.txt").read_text() == (tmp_path / "fresh.txt").read_text()
+
+    def test_help_matches_a_fresh_parser(self):
+        def helps(parser):
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return [parser.format_help()] + [p.format_help() for p in sub.choices.values()]
+
+        cached = helps(cli.build_parser())
+        assert len(cached) == 8
+        assert cached == helps(cli.build_parser.__wrapped__())

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoindex import mvx
 from monoindex.coloring import VertexColoring, verify_mvx_coloring
 from monoindex.graphs import (
     BudgetError,
@@ -31,6 +32,7 @@ from monoindex.mvx import (
     mvx_via_cut_vertex,
 )
 from monoindex.partitions import set_partitions_with_blocks
+from monoindex.reduction import decide_ds_via_mvx
 
 import oracles
 
@@ -144,6 +146,39 @@ class TestCutVertexRoute:
     def test_not_applicable(self):
         with pytest.raises(ValueError, match="cut vertex"):
             mvx_via_cut_vertex(cycle_graph(5), 3)
+
+    @pytest.mark.parametrize("source", [path_graph(4), star_graph(4)])
+    def test_dense_gadget_skips_the_subset_scan(self, monkeypatch, source):
+        # a 4-vertex tree's gadget has 10 vertices and 18 edges: C(18, 9) =
+        # 48,620 edge sets against 2^10 vertex sets, so domination is cheaper
+        calls = []
+
+        def recording(g, *args, **kwargs):
+            calls.append(g)
+            return max_leaf_spanning_tree(g, *args, **kwargs)
+
+        monkeypatch.setattr(mvx, "max_leaf_spanning_tree", recording)
+        assert decide_ds_via_mvx(source, 2)
+        assert calls == []
+
+    def test_long_tree_past_the_domination_cap(self):
+        # 30 vertices exceed MAX_DOMINATION_VERTICES; a tree is one edge set
+        p30 = path_graph(30)
+        for k in (2, 3, 30):
+            res = mvx_via_cut_vertex(p30, k)
+            assert res.value == 3
+            assert verify_mvx_coloring(res.witness, k)
+
+    def test_either_route_finds_the_most_leaves(self):
+        checked = 0
+        for n in range(3, 8):
+            for g in enumerate_connected_graphs(n):
+                if cut_vertices(g):
+                    tree = mvx._max_leaf_tree(g)
+                    assert tree.leaf_count == max_leaf_spanning_tree(g).leaf_count, g.edges
+                    assert is_connected(from_edges(n, tree.edges)) and len(tree.edges) == n - 1
+                    checked += 1
+        assert checked == 1 + 3 + 11 + 56 + 385
 
 
 class TestExactSearch:
