@@ -213,9 +213,8 @@ def _coverage_targets(g: Graph, k: int):
 
 
 def _target_bits(g: Graph, k: int) -> int:
-    """``_coverage_targets(g, k)`` as one 2^n-bit int. From k = 3 on every
-    k-set is a target, so that int is built once per (n, k)."""
-    return sum(1 << s for s in _coverage_targets(g, 2)) if k == 2 else _k_set_bits(g.n, k)
+    """``_coverage_targets(g, k)`` as one 2^n-bit int: the k-sets, less the edges."""
+    return _k_set_bits(g.n, k) & ~sum(1 << (1 << u | 1 << v) for u, v in g.edges)
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +233,7 @@ def _down_sets(n: int) -> list[int]:
 
 
 def _least_excess(
-    n: int, size: int, blocks: dict[int, int], target_sets: list[int], low: int, least: int
+    n: int, size: int, cover, holding, target_sets: list[int], low: int, least: int
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Both exact indices: for each set of targets in turn, the least total
     excess e, from low or from the e of the set before, of element-disjoint
@@ -243,32 +242,31 @@ def _least_excess(
     size - e.
 
     Elements are bits 0..size-1: the edges or the vertices of an n-vertex
-    graph. ``blocks`` maps each block, a mask of two or more elements with
-    excess popcount - 1, to its vertex cover. A target set is a 2^n-bit set
-    of vertex sets. For each e, the lowest target left out is branched on
-    over the blocks that hold it, share no element with the chosen ones and
-    fit what is left of e: by ascending excess, then in ``blocks`` order.
-    No block that holds a target has excess below ``least``, so a block
-    that leaves less of e than that must hold every target left.
+    graph. A block is a mask of two or more elements, of excess popcount - 1
+    and vertex cover ``cover[block]``. The caller supplies the blocks:
+    ``holding(s, x)`` lists those of excess x whose covers hold the vertex
+    set s. A target set is a 2^n-bit set of vertex sets. For each e, the
+    lowest target left out is branched on over the blocks that hold it,
+    share no element with the chosen ones and fit what is left of e: by
+    ascending excess, then in ``holding`` order. No block that holds a
+    target has excess below ``least``, so a block that leaves less of e
+    than that must hold every target left.
     """
     down = _down_sets(n)
-    levels: list[list[int]] = [[] for _ in range(size)]  # levels[x]: the blocks of excess x
-    for b in blocks:
-        levels[b.bit_count() - 1].append(b)
-    holding: dict[int, list[list[int]]] = {}  # target -> per excess up to e, its blocks
+    held: dict[int, list[list[int]]] = {}  # target -> per excess up to e, its blocks
 
     def family(union: int, used: int, budget: int):
         rest = targets & ~union
         if not rest:
             return ()
         s = (rest & -rest).bit_length() - 1
-        if s not in holding:
-            holding[s] = [[b for b in level if blocks[b] & s == s] for level in levels[: e + 1]]
-        for excess, level in enumerate(holding[s][: budget + 1]):
+        if s not in held:
+            held[s] = [holding(s, x) for x in range(e + 1)]
+        for excess, level in enumerate(held[s][: budget + 1]):
             for block in level:
                 if block & used:
                     continue
-                below = union | down[blocks[block]]
+                below = union | down[cover[block]]
                 if budget - excess < least and targets & ~below:
                     continue
                 found = family(below, used | block, budget - excess)
@@ -283,8 +281,8 @@ def _least_excess(
             e += 1
             if e == size:  # past the excess of every element in one block
                 raise RuntimeError("unreachable: some family of blocks holds every target")
-            for s, hold in holding.items():
-                hold.append([b for b in levels[e] if blocks[b] & s == s])
+            for s, hold in held.items():
+                hold.append(holding(s, e))
         if chosen != last:
             # the color of an element is its block's mask, or its own bit
             labels = [next((b for b in chosen if b >> i & 1), 1 << i) for i in range(size)]

@@ -231,16 +231,9 @@ def diameter(g: Graph) -> int:
         raise ValueError("diameter is only defined for connected graphs")
     best = 0
     for s in range(g.n):
-        seen = 1 << s
-        frontier = seen
-        dist = 0
-        while True:
-            nxt = closed_neighborhood(g, frontier) & ~seen
-            if not nxt:
-                break
-            dist += 1
-            seen |= nxt
-            frontier = nxt
+        seen, dist = 1 << s, 0
+        while seen != g.full_mask:
+            seen, dist = closed_neighborhood(g, seen), dist + 1
         best = max(best, dist)
     return best
 

@@ -16,13 +16,19 @@ Splitting a color class into its components keeps every cover N[A] (see
 classes only: the blocks are the connected sets A of two or more vertices,
 each covering N[A]. A lone vertex v holds the subsets of N[v], and so does
 any block holding v, so those k-sets need no block at all.
+
+Families of vertex sets are 2^n-bit ints, bit A for the set A. Dropping a
+leaf of a spanning tree keeps a set connected, so each connected set of
+s + 1 vertices is one of s plus a vertex v outside it with a neighbour in it
+(bit A moves to A + 2^v). A block A holds a target s iff A meets N[t] for
+every t in s, so the blocks of one size that hold s take one AND per t in s.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, reduce
 from math import comb
 
 from .coloring import (
@@ -30,8 +36,8 @@ from .coloring import (
     VertexColoring,
     _check_index_args,
     _down_sets,
+    _k_set_bits,
     _least_excess,
-    _target_bits,
     verify_mvx_coloring,
 )
 from .graphs import (
@@ -209,10 +215,10 @@ def _max_leaf_tree(g: Graph) -> SpanningTreeResult:
 
 
 def mvx_n_formula(g: Graph) -> int:
-    """l(T_max) + 1 from the exact spanning-tree solver; needs n >= 3."""
+    """l(T_max) + 1 from the exact max-leaf tree; needs n >= 3."""
     if g.n < 3:
         raise ValueError("the spanning-tree formula needs n >= 3")
-    return max_leaf_spanning_tree(g).leaf_count + 1
+    return _max_leaf_tree(g).leaf_count + 1
 
 
 def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
@@ -237,8 +243,9 @@ def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
 
 def mvx_exact(g: Graph, k: int) -> MvxResult:
     """Maximum color count over all vertex colorings valid at k, read off
-    ``mvx_profile``; asking for k = 2..n in turn searches once."""
-    _check_index_args(g, k)
+    ``mvx_profile`` (which checks g); asking for k = 2..n searches once."""
+    if not 2 <= k <= g.n:
+        _check_index_args(g, k)
     t, colors = mvx_profile(g)[k - 2]
     return MvxResult(t, VertexColoring(g, colors), k, "exact-search")
 
@@ -248,31 +255,42 @@ def mvx_profile(g: Graph):
     """(mvx_k, witness colors) for k = 2..n from one least-excess search
     (module docstring). It starts at e = diam - 2, as mvx_k <= n - diam + 2,
     and each k at the e of k - 1, as validity only shrinks as k grows.
-    Refuses n above MAX_KERNEL_VERTICES before any table is built.
+    Refuses g if disconnected, then if n > MAX_KERNEL_VERTICES, before any table.
     """
     _check_index_args(g, 2)
     if g.n > MAX_KERNEL_VERTICES:
         raise BudgetError(
             f"exact search over {g.n} vertices exceeds the budget of {MAX_KERNEL_VERTICES}"
         )
-    n, adj = g.n, g.adj
+    n, adj, full = g.n, g.adj, g.full_mask
     down = _down_sets(n)
-    closed = [0] * (1 << n)
-    base = 0
-    blocks: dict[int, int] = {}  # connected mask of two or more vertices -> its cover
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        closed[mask] = closed[mask ^ low] | adj[low.bit_length() - 1] | low
-        if mask == low:
-            base |= down[closed[mask]]
-            continue
-        reach = low
-        while (grown := closed[reach] & mask) != reach:
-            reach = grown
-        if reach == mask:
-            blocks[mask] = closed[mask]
-    target_sets = [_target_bits(g, k) & ~base for k in range(2, n + 1)]
-    found = _least_excess(n, n, blocks, target_sets, max(diameter(g) - 2, 0), least=1)
+    closed = [0]  # closed[mask] = N[mask], doubled as in _down_sets
+    for row in (adj[h] | 1 << h for h in range(n)):
+        closed += [c | row for c in closed]
+    # meets[v]: the sets that meet N[v]; layers[x]: the connected sets of x + 1 vertices
+    meets = [down[full] ^ down[full & ~closed[1 << v]] for v in range(n)]
+    layers = [sum(1 << (1 << v) for v in range(n))]
+    while len(layers) < n:
+        layers.append(0)
+        for v in range(n):
+            layers[-1] |= (layers[-2] & meets[v] & down[full ^ 1 << v]) << (1 << v)
+
+    @cache
+    def inside(s: int) -> int:  # the sets that meet N[t] for every t in s
+        return reduce(int.__and__, (meets[t] for t in iter_bits(s)))
+
+    base = diam = 0
+    for v in range(n):
+        base |= down[closed[1 << v]]
+        seen, steps = 1 << v, 0
+        while seen != full:
+            seen, steps = closed[seen], steps + 1
+        diam = max(diam, steps)
+    target_sets = [_k_set_bits(n, k) & ~base for k in range(2, n + 1)]
+    found = _least_excess(
+        n, n, closed, lambda s, x: list(iter_bits(layers[x] & inside(s))),
+        target_sets, max(diam - 2, 0), least=1,
+    )
     return tuple((n - e, colors) for e, colors in found)
 
 

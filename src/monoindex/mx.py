@@ -159,7 +159,13 @@ def mx_exact_bruteforce(g: Graph, k: int, max_edges: int = MAX_BRUTEFORCE_EDGES)
     for size, cap, noun in ((g.n, MAX_KERNEL_VERTICES, "vertices"), (g.m, max_edges, "edges")):
         if size > cap:
             raise BudgetError(f"subtree search over {size} {noun} exceeds the budget of {cap}")
-    targets = _target_bits(g, k)
+    trees = _subtrees(g)
+    levels: list[list[int]] = [[] for _ in range(g.m)]  # levels[x]: the trees of excess x
+    for tree in trees:
+        levels[tree.bit_count() - 1].append(tree)
     # a tree that holds a target has max(k, 3) vertices or more
-    [(e, colors)] = _least_excess(g.n, g.m, _subtrees(g), [targets], 0, max(k, 3) - 2)
+    [(e, colors)] = _least_excess(
+        g.n, g.m, trees, lambda s, x: [t for t in levels[x] if trees[t] & s == s],
+        [_target_bits(g, k)], 0, max(k, 3) - 2,
+    )
     return MxResult(g.m - e, EdgeColoring(g, colors), k)

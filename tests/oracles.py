@@ -7,8 +7,10 @@ minima instead of the pruned canonical search, explicit subtree enumeration
 instead of the component-coverage reduction. The exceptions are
 ``mvx_by_rgs_search`` and ``mx_by_rgs_search``, the library's earlier exact
 index searches over every set partition, kept as the slow paths the one
-least-excess block search behind both indices is checked against, and
-the library's earlier canonical search and enumerators:
+least-excess block search behind both indices is checked against;
+``mvx_profile_by_mask_scan``, the table side of the vertex index before
+its blocks were grown as bit-parallel families; and the library's earlier
+canonical search and enumerators:
 ``canonical_by_columns`` builds every unplaced vertex's column bit by bit,
 ``reps_by_invariant_filter`` extends a parent by every neighborhood that
 passes the invariant filter (with that canonical search), and
@@ -20,12 +22,20 @@ from __future__ import annotations
 
 import itertools
 
-from monoindex.coloring import _all_covered, _coverage_targets, _edge_covers, _vertex_covers
+from monoindex.coloring import (
+    _all_covered,
+    _coverage_targets,
+    _down_sets,
+    _edge_covers,
+    _least_excess,
+    _vertex_covers,
+)
 from monoindex.graphs import (
     ENUMERATION_MAX_VERTICES,
     BudgetError,
     Graph,
     _canonical,
+    closed_neighborhood,
     connected_components,
     diameter,
     iter_bits,
@@ -174,6 +184,59 @@ def mvx_by_rgs_search(g, k: int) -> tuple[int, tuple[int, ...]]:
             if _all_covered(subsets, _vertex_covers(g, colors)):
                 return t, colors
     raise RuntimeError("unreachable: one color is always valid on a connected graph")
+
+
+def diameter_by_bfs(g) -> int:
+    """The largest eccentricity, each from a BFS that grows one frontier of
+    new vertices at a time and stops when a frontier comes out empty."""
+    best = 0
+    for s in range(g.n):
+        seen = frontier = 1 << s
+        dist = 0
+        while frontier := closed_neighborhood(g, frontier) & ~seen:
+            dist += 1
+            seen |= frontier
+        best = max(best, dist)
+    return best
+
+
+def mvx_profile_by_mask_scan(g) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``mvx_profile`` as the library first built its tables: one pass over
+    every mask for the closed neighborhoods and for connectivity (a reach
+    grown inside the mask), the blocks grouped by size from a dict in mask
+    order, a BFS diameter and each k's targets from ``_coverage_targets``.
+    The search itself is the shared kernel. Callers check connectivity and
+    the budget first."""
+    n, adj = g.n, g.adj
+    down = _down_sets(n)
+    closed = [0] * (1 << n)
+    base = 0
+    blocks: dict[int, int] = {}  # connected mask of two or more vertices -> its cover
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        closed[mask] = closed[mask ^ low] | adj[low.bit_length() - 1] | low
+        if mask == low:
+            base |= down[closed[mask]]
+            continue
+        reach = low
+        while (grown := closed[reach] & mask) != reach:
+            reach = grown
+        if reach == mask:
+            blocks[mask] = closed[mask]
+    levels: list[list[int]] = [[] for _ in range(n)]
+    for b in blocks:
+        levels[b.bit_count() - 1].append(b)
+    target_sets = [sum(1 << s for s in _coverage_targets(g, k)) & ~base for k in range(2, n + 1)]
+    found = _least_excess(
+        n,
+        n,
+        blocks,
+        lambda s, x: [b for b in levels[x] if blocks[b] & s == s],
+        target_sets,
+        max(diameter_by_bfs(g) - 2, 0),
+        least=1,
+    )
+    return tuple((n - e, colors) for e, colors in found)
 
 
 def mx_by_rgs_search(g, k: int):

@@ -219,6 +219,12 @@ class TestDiameter:
         with pytest.raises(ValueError):
             diameter(from_edges(3, [(0, 1)]))
 
+    def test_agrees_with_bfs_oracle(self):
+        graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+        assert len(graphs) == 996
+        for g in graphs:
+            assert diameter(g) == oracles.diameter_by_bfs(g), g.edges
+
 
 class TestCanonicalForm:
     @staticmethod

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from monoindex.graphs import (
     cut_vertices,
     cycle_graph,
     enumerate_connected_graphs,
+    enumerate_graphs,
     from_edges,
     is_connected,
     iter_bits,
@@ -32,7 +35,7 @@ from monoindex.mvx import (
     mvx_via_cut_vertex,
 )
 from monoindex.partitions import set_partitions_with_blocks
-from monoindex.reduction import decide_ds_via_mvx
+from monoindex.reduction import build_gadget, decide_ds_via_mvx
 
 import oracles
 
@@ -94,6 +97,14 @@ class TestFormulas:
         assert mvx_n_formula(path_graph(5)) == 3
         assert mvx_n_formula(star_graph(5)) == 5
         assert mvx_n_formula(cycle_graph(6)) == 3
+
+    def test_mvx_n_formula_skips_the_subset_scan(self, monkeypatch):
+        # K8 has C(28, 7) = 1,184,040 edge sets; connected domination answers
+        def refuse(*args, **kwargs):
+            raise AssertionError("the edge-subset scan was called")
+
+        monkeypatch.setattr(mvx, "max_leaf_spanning_tree", refuse)
+        assert mvx_n_formula(complete_graph(8)) == 8
 
     def test_cycle_mvc(self):
         assert cycle_mvc_formula(5) == 5
@@ -217,6 +228,47 @@ class TestExactSearch:
             mvx_exact(g, 3, max_vertices=g.n)
         with pytest.raises(BudgetError, match=f"budget of {MAX_KERNEL_VERTICES}"):
             mvx_exact(g, 3)
+
+    def test_argument_errors_keep_type_and_message(self):
+        # mvx_exact checks only k itself; the profile checks the graph
+        disconnected = from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="connected graphs only"):
+            mvx_exact(disconnected, 1)
+        with pytest.raises(ValueError, match="connected graphs only"):
+            mvx_exact(disconnected, 2)
+        with pytest.raises(ValueError, match=r"^k=1 out of range 2\.\.13$"):
+            mvx_exact(cycle_graph(13), 1)
+        with pytest.raises(BudgetError, match="13 vertices exceeds the budget of 12"):
+            mvx_exact(cycle_graph(13), 3)
+        with pytest.raises(ValueError, match=r"^k=9 out of range 2\.\.4$"):
+            mvx_exact(path_graph(4), 9)
+
+    def test_one_graph_check_for_every_k(self, monkeypatch):
+        check, calls = mvx._check_index_args, []
+        monkeypatch.setattr(mvx, "_check_index_args", lambda g, k: calls.append(k) or check(g, k))
+        mvx.mvx_profile.cache_clear()
+        g = prism()
+        assert [mvx_exact(g, k).value for k in range(2, 7)] == [6, 6, 5, 5, 5]
+        assert calls == [2]  # the profile's own check, on its one miss
+
+    def test_profile_agrees_with_mask_scan_oracle(self):
+        # values and witness colors of the bit-parallel tables against the
+        # mask loop they replace: every connected graph with n <= 7, the 49
+        # reduction gadgets (8-12 vertices), C12, P12, the complement of C12
+        # and 100 seeded graphs with 9-12 vertices
+        graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+        assert len(graphs) == 995
+        graphs += [build_gadget(g).gadget for n in range(3, 6) for g in enumerate_graphs(n)]
+        graphs += [cycle_graph(12), path_graph(12), complement(cycle_graph(12))]
+        rng = random.Random(13)
+        while len(graphs) < 995 + 49 + 3 + 100:
+            n = rng.randint(9, 12)
+            p = rng.uniform(0.15, 0.6)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = from_edges(n, pairs)
+            graphs.append(g if is_connected(g) else complement(g))
+        for g in graphs:
+            assert mvx.mvx_profile(g) == oracles.mvx_profile_by_mask_scan(g), g.edges
 
     def test_agrees_with_rgs_oracle_exhaustively(self):
         # every connected graph with n <= 7, every k: the value of the old
