@@ -27,12 +27,13 @@ from .graphs import (
     BudgetError,
     Graph,
     Graph6Error,
+    complement,
     enumerate_connected_graphs,
     enumerate_graphs,
     parse_graph,
     to_graph6,
 )
-from .mvx import diameter_upper_bound, mvx_exact, mvx_via_cut_vertex
+from .mvx import connected_domination_number, diameter_upper_bound, mvx_exact, mvx_via_cut_vertex
 from .mx import construct_extremal_mx, mx_exact_bruteforce, mx_k_formula
 from .reduction import (
     DominationCertificate,
@@ -46,7 +47,6 @@ from .survey import (
     enumerate_coconnected,
     locate_F1,
     survey_bounds,
-    survey_csv_text,
     write_survey_csv,
 )
 
@@ -66,17 +66,17 @@ def _info(args: argparse.Namespace, message: str) -> None:
 
 
 def _print_with_witness(args: argparse.Namespace, value: int, witness) -> None:
-    """Print the value and write the witness certificate, if one was asked for.
+    """Write the witness certificate, if one was asked for, then print the value.
 
-    The certificate text is built first, so a witness that cannot be
-    serialized fails the command before anything is printed or written.
+    The certificate text is built and written first, so a witness that cannot
+    be serialized or written fails the command before anything is printed.
     """
     text = write_coloring_certificate(witness) if args.witness and witness is not None else None
-    print(value)
     if text is not None:
         with open(args.witness, "w") as fh:
             fh.write(text)
         _info(args, f"witness written to {args.witness}")
+    print(value)
 
 
 def _cmd_mx(args: argparse.Namespace) -> int:
@@ -85,8 +85,7 @@ def _cmd_mx(args: argparse.Namespace) -> int:
     if args.exact or k == 2:
         if not args.exact:
             raise ValueError("the closed form covers k >= 3 only; pass --exact for k=2")
-        kwargs = {} if args.max_edges is None else {"max_edges": args.max_edges}
-        result = mx_exact_bruteforce(g, k, **kwargs)
+        result = mx_exact_bruteforce(g, k)
         value, witness = result.value, result.witness
     else:
         value = mx_k_formula(g, k)
@@ -113,7 +112,6 @@ def _cmd_mvx(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     answer = decide_ds_via_mvx(g, args.k)
-    print("yes" if answer else "no")
     gm = build_gadget(g)
     if args.emit_gadget:
         with open(args.emit_gadget, "w") as fh:
@@ -125,20 +123,35 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         with open(args.certificates, "w") as fh:
             fh.write(write_domination_certificates([dom, lifted]))
         _info(args, f"certificates written to {args.certificates}")
+    print("yes" if answer else "no")
     return 0
 
 
 def _cmd_gadget(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     gm = build_gadget(g)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(to_graph6(gm.gadget) + "\n")
     print(f"graph6: {to_graph6(gm.gadget)}")
     print(f"x: {gm.x}")
     print(f"y: {gm.y}")
     print("u:", " ".join(str(gm.u_index[i]) for i in range(g.n)))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(to_graph6(gm.gadget) + "\n")
     return 0
+
+
+def _survey_summary(n: int, records) -> str:
+    """Survey size, bound violations, and per k the sums, bounds and minimizers."""
+    failures = [f"  FAIL {r}\n" for r in records if r.verdict == "fail"]
+    text = f"n={n}: {len({r.g6 for r in records})} co-connected graphs, {len(records)} records\n"
+    text += f"bound violations: {len(failures)}\n" + "".join(failures)
+    for k in sorted({r.k for r in records}):
+        ks = [r for r in records if r.k == k]
+        lo, hi = min(r.sum for r in ks), max(r.sum for r in ks)
+        text += f"k={k}: sum in [{lo}, {hi}]  lower bound {ks[0].lower_bound or '-'}"
+        text += f"  upper bound {ks[0].upper_bound or '-'}\n       minimum attained by "
+        text += " ".join(sorted({r.g6 for r in ks if r.sum == lo})) + "\n"
+    return text
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
@@ -149,19 +162,26 @@ def _cmd_survey(args: argparse.Namespace) -> int:
             raise ValueError(f"--find-f1 searches six-vertex graphs; needs --n 6, got --n {args.n}")
         if args.csv or args.k is not None:
             raise ValueError("--find-f1 prints graph6 lines; it takes neither --csv nor --k")
-        for g in locate_F1():
+        found = locate_F1()
+        print(f"candidates: {len(found)}", file=sys.stderr)
+        for g in found:
+            gbar = complement(g)
+            a, b = ([mvx_exact(h, k).value for k in range(3, 7)] for h in (g, gbar))
             print(to_graph6(g))
+            sys.stderr.write(
+                f"{to_graph6(g)}  edges={list(g.edges)}\n  gamma_c={connected_domination_number(g)}"
+                f"  gamma_c(complement)={connected_domination_number(gbar)}"
+                f"  pair sums k=3..6: {[x + y for x, y in zip(a, b)]}\n"
+            )
         return 0
     records = survey_bounds(args.n, include_n8=args.include_n8)
     if args.k is not None:
         records = [r for r in records if r.k == args.k]
+    write_survey_csv(records, args.csv or sys.stdout)
     if args.csv:
-        write_survey_csv(records, args.csv)
         print(f"wrote {len(records)} records to {args.csv}")
-    else:
-        sys.stdout.write(survey_csv_text(records))
-    failures = sum(1 for r in records if r.verdict == "fail")
-    return 1 if failures else 0
+    sys.stderr.write(_survey_summary(args.n, records))
+    return 1 if any(r.verdict == "fail" for r in records) else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -203,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--exact", action="store_true", help="exact search instead of the closed form")
     p.add_argument("--witness", help="write the witness coloring certificate here")
-    p.add_argument("--max-edges", type=int, help="override the exact-search edge budget (15)")
     p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("mvx", help="vertex index of a graph at k")

@@ -79,7 +79,7 @@ def _degrees(n: int, edges) -> list[int]:
     return deg
 
 
-def max_leaf_spanning_tree(g: Graph, max_subsets: int = MAX_TREE_SUBSETS) -> SpanningTreeResult:
+def max_leaf_spanning_tree(g: Graph) -> SpanningTreeResult:
     """Exact maximum-leaf spanning tree by scanning all (n-1)-edge subsets.
 
     Deliberately oblivious to the domination duality so it can serve as its
@@ -88,9 +88,9 @@ def max_leaf_spanning_tree(g: Graph, max_subsets: int = MAX_TREE_SUBSETS) -> Spa
     if not is_connected(g) or g.n < 2:
         raise ValueError("spanning trees need a connected graph on >= 2 vertices")
     n, m = g.n, g.m
-    if comb(m, n - 1) > max_subsets:
+    if comb(m, n - 1) > MAX_TREE_SUBSETS:
         raise BudgetError(
-            f"C({m},{n - 1}) edge subsets exceed the budget of {max_subsets}; "
+            f"C({m},{n - 1}) edge subsets exceed the budget of {MAX_TREE_SUBSETS}; "
             "use max_leaf_heuristic for a witness"
         )
     edges = g.edges
@@ -166,12 +166,14 @@ def _tree_from_core(g: Graph, core: int, root: int) -> SpanningTreeResult:
     return SpanningTreeResult(tuple(tree), _degrees(g.n, tree).count(1))
 
 
-def _dominating_masks(g: Graph, max_vertices: int = MAX_DOMINATION_VERTICES):
+def _dominating_masks(g: Graph):
     """Every dominating set of g as a mask, by ascending size, then in
     combinations order within a size. Refuses graphs above the budget."""
     n = g.n
-    if n > max_vertices:
-        raise BudgetError(f"subset search over {n} vertices exceeds the budget of {max_vertices}")
+    if n > MAX_DOMINATION_VERTICES:
+        raise BudgetError(
+            f"subset search over {n} vertices exceeds the budget of {MAX_DOMINATION_VERTICES}"
+        )
     full = g.full_mask
     closed = [g.adj[v] | 1 << v for v in range(n)]
     for size in range(1, n + 1):
@@ -183,23 +185,21 @@ def _dominating_masks(g: Graph, max_vertices: int = MAX_DOMINATION_VERTICES):
                 yield mask_from(combo)
 
 
-def minimum_connected_dominating_set(
-    g: Graph, max_vertices: int = MAX_DOMINATION_VERTICES
-) -> int:
+def minimum_connected_dominating_set(g: Graph) -> int:
     """Mask of a minimum connected dominating set (ascending-size search)."""
     if not is_connected(g):
         raise ValueError("connected domination needs a connected graph")
     if g.n == 1:
         return 0  # lone vertex: empty set by convention
-    for mask in _dominating_masks(g, max_vertices):
+    for mask in _dominating_masks(g):
         if connected_components(g, mask) == [mask]:
             return mask
     raise RuntimeError("unreachable: the full vertex set always dominates")
 
 
-def connected_domination_number(g: Graph, max_vertices: int = MAX_DOMINATION_VERTICES) -> int:
+def connected_domination_number(g: Graph) -> int:
     """Size of a minimum connected dominating set; 0 for the one-vertex graph."""
-    return minimum_connected_dominating_set(g, max_vertices).bit_count()
+    return minimum_connected_dominating_set(g).bit_count()
 
 
 def _max_leaf_tree(g: Graph) -> SpanningTreeResult:

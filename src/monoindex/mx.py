@@ -147,16 +147,16 @@ def _subtrees(g: Graph) -> dict[int, int]:
     return out
 
 
-def mx_exact_bruteforce(g: Graph, k: int, max_edges: int = MAX_BRUTEFORCE_EDGES) -> MxResult:
+def mx_exact_bruteforce(g: Graph, k: int) -> MxResult:
     """Maximum color count over all edge colorings valid at k: m - e, with e
     the least total excess of edge-disjoint subtrees that hold every target
     (module docstring), found by ``coloring._least_excess``. The search is
     exact, not brute force; the name stays for the API and perfbench's
-    tracer. Refuses more than ``max_edges`` edges, or MAX_KERNEL_VERTICES
-    vertices whatever it says, before any table or subtree list is built.
+    tracer. Refuses more than MAX_BRUTEFORCE_EDGES edges or
+    MAX_KERNEL_VERTICES vertices before any table or subtree list is built.
     """
     _check_index_args(g, k)
-    for size, cap, noun in ((g.n, MAX_KERNEL_VERTICES, "vertices"), (g.m, max_edges, "edges")):
+    for size, cap, noun in ((g.n, MAX_KERNEL_VERTICES, "vertices"), (g.m, MAX_BRUTEFORCE_EDGES, "edges")):
         if size > cap:
             raise BudgetError(f"subtree search over {size} {noun} exceeds the budget of {cap}")
     trees = _subtrees(g)

@@ -29,7 +29,7 @@ from .graphs import (
     iter_bits,
     mask_from,
 )
-from .mvx import MAX_DOMINATION_VERTICES, _dominating_masks, mvx_via_cut_vertex
+from .mvx import _dominating_masks, mvx_via_cut_vertex
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,13 @@ def build_gadget(g: Graph) -> GadgetMap:
     )
 
 
-def minimum_dominating_set(g: Graph, max_vertices: int = MAX_DOMINATION_VERTICES) -> frozenset[int]:
+def minimum_dominating_set(g: Graph) -> frozenset[int]:
     """A minimum dominating set by ascending-size subset search."""
-    return frozenset(iter_bits(next(_dominating_masks(g, max_vertices))))
+    return frozenset(iter_bits(next(_dominating_masks(g))))
 
 
-def dominating_number(g: Graph, max_vertices: int = MAX_DOMINATION_VERTICES) -> int:
-    return len(minimum_dominating_set(g, max_vertices))
+def dominating_number(g: Graph) -> int:
+    return len(minimum_dominating_set(g))
 
 
 def lift_dominating_set(gm: GadgetMap, d: DominationCertificate) -> DominationCertificate:

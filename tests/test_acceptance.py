@@ -4,9 +4,10 @@ Every assertion is exact integer equality (or an exact set comparison);
 nothing is tolerance-calibrated. Each test prints one PASS line on the way
 out, so `pytest tests/test_acceptance.py -v -s` reads as a checklist. The
 slowest pieces are the n=7 sweeps; the whole module runs in about 15 s.
-Criteria 9 and 13 also reach the exact search's 12-vertex ceiling: all 25
-near-complete bipartite pairs with n1 + n2 <= 12 (with their complements)
-and the reduction gadgets of 8-12 vertices, at every k.
+Criteria 8, 9 and 13 also reach the exact search's 12-vertex ceiling: the
+12 cycles and paths with 7-12 vertices and all 25 near-complete bipartite
+pairs with n1 + n2 <= 12 (each with its complement), and the reduction
+gadgets of 8-12 vertices, at every k.
 A last test pins the SHA-256 of the survey CSV text at n = 5, 6, 7, reusing
 the survey records the criteria already compute.
 """
@@ -217,8 +218,14 @@ def test_c08_lower_bounds_and_sharpness(survey_records, f1_pair):
             g = _g6_graph(r.g6)
             total = connected_domination_number(g) + connected_domination_number(complement(g))
             assert r.sum == 2 * n - total + 2 and r.sum >= n + 2, (n, r.g6)
-    report(8, "lower bounds hold with zero violations for n in 5..7 and are attained "
-              "by the cycle/path/F1 families")
+    # sharpness up to the kernel's 12-vertex ceiling: C_n and P_n with their
+    # complements sum to the lower bound at every k = 3..n
+    for n in range(7, 13):
+        for g in (cycle_graph(n), path_graph(n)):
+            sums = [a + b for (a, _), (b, _) in zip(mvx_profile(g), mvx_profile(complement(g)))]
+            assert sums[1:] == [expected_lower_bound(n, k) for k in range(3, n + 1)], (n, g)
+    report(8, "lower bounds hold with zero violations for n in 5..7, are attained "
+              "by the cycle/path/F1 families, and C_n, P_n attain them for n in 7..12")
 
 
 def test_c09_upper_bounds_and_attainment(survey_records):

@@ -159,6 +159,30 @@ class TestSurveyAndEnumerate:
         assert code == 0
         assert len(out.split()) == 2
 
+    def test_survey_find_f1_report_on_stderr(self, capsys):
+        code, _, err = run_cli(capsys, "survey", "--n", "6", "--find-f1")
+        assert code == 0 and "candidates: 2" in err.splitlines()
+
+    def test_survey_summary_on_stderr(self, capsys):
+        code, _, err = run_cli(capsys, "survey", "--n", "5")
+        assert code == 0 and err == (
+            "n=5: 8 co-connected graphs, 24 records\n"
+            "bound violations: 0\n"
+            "k=3: sum in [6, 8]  lower bound 6  upper bound 8\n"
+            "       minimum attained by DLo\n"
+            "k=4: sum in [6, 8]  lower bound 6  upper bound 8\n"
+            "       minimum attained by DLo\n"
+            "k=5: sum in [6, 8]  lower bound 6  upper bound 8\n"
+            "       minimum attained by DLo\n"
+        )
+
+    def test_survey_summary_follows_k(self, capsys):
+        code, _, err = run_cli(capsys, "survey", "--n", "5", "--k", "4")
+        assert code == 0
+        assert [line for line in err.splitlines() if line.startswith("k=")] == [
+            "k=4: sum in [6, 8]  lower bound 6  upper bound 8"
+        ]
+
     def test_enumerate(self, capsys):
         from monoindex.graphs import canonical_form
 
@@ -234,6 +258,7 @@ class TestErrors:
         [
             ("survey", "--n", "4", "--threads", "2"),
             ("mvx", "--graph", "Ch", "--k", "3", "--max-vertices", "4"),
+            ("mx", "--graph", "C~", "--k", "2", "--exact", "--max-edges", "30"),
         ],
     )
     def test_removed_options_are_usage_errors(self, capsys, argv):
@@ -275,14 +300,26 @@ class TestErrors:
         assert code == 2 and out == "" and err.startswith("error:") and "budget" in err
 
     def test_mx_beyond_kernel_ceiling_exits_2_quickly(self, capsys):
-        # --max-edges cannot lift the exact search past its table ceiling
         c30 = to_graph6(cycle_graph(30))
         start = time.perf_counter()
-        code, out, err = run_cli(
-            capsys, "mx", "--graph", c30, "--k", "2", "--exact", "--max-edges", "30"
-        )
+        code, out, err = run_cli(capsys, "mx", "--graph", c30, "--k", "2", "--exact")
         assert time.perf_counter() - start < 3.0
         assert code == 2 and out == "" and err.startswith("error:") and "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mx", "--graph", "C~", "--k", "3", "--witness"),
+            ("mvx", "--graph", "DhC", "--k", "2", "--cut-vertex", "--witness"),
+            ("reduce", "--graph", "Bw", "--k", "1", "--emit-gadget"),
+            ("reduce", "--graph", "Bw", "--k", "1", "--certificates"),
+            ("gadget", "--graph", "Bg", "--out"),
+        ],
+    )
+    def test_unwritable_output_prints_nothing(self, capsys, tmp_path, argv):
+        # the files are written before the result is printed
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "w.txt"))
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_edge_list_beyond_vertex_cap_exits_2_quickly(self, capsys, tmp_path):
         graph = tmp_path / "huge.txt"

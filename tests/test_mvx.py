@@ -63,8 +63,9 @@ class TestMaxLeaf:
         assert is_connected(g)
 
     def test_budget(self):
+        # C(36, 8) = 30,260,340 edge subsets of K9, over MAX_TREE_SUBSETS
         with pytest.raises(BudgetError, match="heuristic"):
-            max_leaf_spanning_tree(complete_graph(8), max_subsets=10)
+            max_leaf_spanning_tree(complete_graph(9))
 
     def test_heuristic_examples(self):
         assert max_leaf_heuristic(star_graph(5)).leaf_count == 4

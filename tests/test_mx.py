@@ -138,17 +138,21 @@ class TestBruteforce:
                     assert mx_exact_bruteforce(g, k).value == mx_k_formula(g, k)
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
-            mx_exact_bruteforce(complete_graph(5), 3, max_edges=9)
+        # K7 has 21 edges, over MAX_BRUTEFORCE_EDGES (15)
+        with pytest.raises(BudgetError, match="21 edges"):
+            mx_exact_bruteforce(complete_graph(7), 3)
 
     def test_complete_graph_mc(self):
         # every pair is adjacent, so all-distinct is fine at k=2
         assert mx_exact_bruteforce(complete_graph(4), 2).value == 6
 
     def test_kernel_ceiling_overrides_max_edges(self):
+        # no budget parameter is left to override the ceiling
         g = cycle_graph(MAX_KERNEL_VERTICES + 1)
-        with pytest.raises(BudgetError, match=f"budget of {MAX_KERNEL_VERTICES}"):
+        with pytest.raises(TypeError):
             mx_exact_bruteforce(g, 2, max_edges=g.m)
+        with pytest.raises(BudgetError, match=f"budget of {MAX_KERNEL_VERTICES}"):
+            mx_exact_bruteforce(g, 2)
 
     def test_budget_admits_k6(self):
         assert mx_exact_bruteforce(complete_graph(6), 2).value == 15
