@@ -30,6 +30,7 @@ from .graphs import (
     connected_components,
     edge_forest,
     is_connected,
+    iter_bits,
     k_subsets,
     parse_graph6,
     to_graph6,
@@ -64,12 +65,12 @@ class _Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        size = len(self._elements(self.graph))
+        size = self._size(self.graph)
         if len(self.colors) != size:
             raise ValueError(
                 f"coloring covers {len(self.colors)} {self._noun}, graph has {size}"
             )
-        if any(c < 0 for c in self.colors):
+        if min(self.colors, default=0) < 0:
             raise ValueError("color ids must be non-negative")
 
     @classmethod
@@ -137,6 +138,7 @@ class EdgeColoring(_Coloring):
     _kind = "edge"
     _noun = "edges"
     _elements = staticmethod(lambda g: g.edges)
+    _size = staticmethod(lambda g: g.m)
     _covers = staticmethod(_edge_covers)
 
 
@@ -146,6 +148,7 @@ class VertexColoring(_Coloring):
     _kind = "vertex"
     _noun = "vertices"
     _elements = staticmethod(lambda g: [(v,) for v in range(g.n)])
+    _size = staticmethod(lambda g: g.n)
     _covers = staticmethod(_vertex_covers)
 
     def class_mask(self, color: int) -> int:
@@ -248,22 +251,25 @@ def _least_excess(
     set s. A target set is a 2^n-bit set of vertex sets. For each e, the
     lowest target left out is branched on over the blocks that hold it,
     share no element with the chosen ones and fit what is left of e: by
-    ascending excess, then in ``holding`` order. No block that holds a
-    target has excess below ``least``, so a block that leaves less of e
-    than that must hold every target left.
+    ascending excess, then in ``holding`` order. ``holding(s, x)`` is
+    called at most once per (s, x), when the search first reaches excess
+    x at target s, and never for x below ``least``: no block of such an
+    excess holds a target, so a block that leaves less of e than ``least``
+    must hold every target left.
     """
     down = _down_sets(n)
-    held: dict[int, list[list[int]]] = {}  # target -> per excess up to e, its blocks
+    held: dict[int, list[list[int]]] = {}  # target -> per excess reached, its blocks
 
     def family(union: int, used: int, budget: int):
         rest = targets & ~union
         if not rest:
             return ()
         s = (rest & -rest).bit_length() - 1
-        if s not in held:
-            held[s] = [holding(s, x) for x in range(e + 1)]
-        for excess, level in enumerate(held[s][: budget + 1]):
-            for block in level:
+        levels = held.setdefault(s, [[]] * least)
+        for excess in range(least, budget + 1):
+            if excess == len(levels):
+                levels.append(holding(s, excess))
+            for block in levels[excess]:
                 if block & used:
                     continue
                 below = union | down[cover[block]]
@@ -281,11 +287,10 @@ def _least_excess(
             e += 1
             if e == size:  # past the excess of every element in one block
                 raise RuntimeError("unreachable: some family of blocks holds every target")
-            for s, hold in held.items():
-                hold.append(holding(s, e))
         if chosen != last:
             # the color of an element is its block's mask, or its own bit
-            labels = [next((b for b in chosen if b >> i & 1), 1 << i) for i in range(size)]
+            owner = {i: b for b in chosen for i in iter_bits(b)}
+            labels = [owner.get(i, 1 << i) for i in range(size)]
             last, colors = chosen, _renumber(labels)
         out.append((e, colors))
     return out
@@ -300,9 +305,11 @@ def _all_covered(subsets, masks) -> bool:
 
 
 def _check_index_args(g: Graph, k: int) -> None:
-    """Both indices are defined for connected graphs and 2 <= k <= n."""
+    """Both indices are defined for connected graphs, n >= 2 and 2 <= k <= n."""
     if not is_connected(g):
         raise ValueError("the index is defined for connected graphs only")
+    if g.n < 2:
+        raise ValueError("the index needs at least 2 vertices")
     if not 2 <= k <= g.n:
         raise ValueError(f"k={k} out of range 2..{g.n}")
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 from math import comb
 
 from .coloring import (
@@ -241,13 +241,20 @@ def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
     return MvxResult(tree.leaf_count + 1, VertexColoring(g, tuple(colors)), k, "cut-vertex")
 
 
+_results: list = [None, None]  # the last profile read, matched by identity, and its results
+
+
 def mvx_exact(g: Graph, k: int) -> MvxResult:
     """Maximum color count over all vertex colorings valid at k, read off
-    ``mvx_profile`` (which checks g); asking for k = 2..n searches once."""
+    ``mvx_profile`` (which checks g): k = 2..n share one search and one result list."""
     if not 2 <= k <= g.n:
         _check_index_args(g, k)
-    t, colors = mvx_profile(g)[k - 2]
-    return MvxResult(t, VertexColoring(g, colors), k, "exact-search")
+    profile = mvx_profile(g)
+    if _results[0] is not profile:
+        witness = {colors: VertexColoring(g, colors) for _, colors in profile}
+        found = [MvxResult(t, witness[c], j, "exact-search") for j, (t, c) in enumerate(profile, 2)]
+        _results[:] = profile, found
+    return _results[1][k - 2]
 
 
 @lru_cache(maxsize=1)
@@ -270,14 +277,18 @@ def mvx_profile(g: Graph):
     # meets[v]: the sets that meet N[v]; layers[x]: the connected sets of x + 1 vertices
     meets = [down[full] ^ down[full & ~closed[1 << v]] for v in range(n)]
     layers = [sum(1 << (1 << v) for v in range(n))]
-    while len(layers) < n:
-        layers.append(0)
-        for v in range(n):
-            layers[-1] |= (layers[-2] & meets[v] & down[full ^ 1 << v]) << (1 << v)
 
     @cache
-    def inside(s: int) -> int:  # the sets that meet N[t] for every t in s
-        return reduce(int.__and__, (meets[t] for t in iter_bits(s)))
+    def inside(s: int) -> int:  # the sets that meet N[t] for every t in s, via s less its low t
+        rest = s & s - 1
+        return meets[(s & -s).bit_length() - 1] & (inside(rest) if rest else -1)
+
+    def holding(s: int, x: int) -> list[int]:  # grows the layers up to x on first need
+        while len(layers) <= x:
+            layers.append(0)
+            for v in range(n):
+                layers[-1] |= (layers[-2] & meets[v] & down[full ^ 1 << v]) << (1 << v)
+        return list(iter_bits(layers[x] & inside(s)))
 
     base = diam = 0
     for v in range(n):
@@ -287,10 +298,7 @@ def mvx_profile(g: Graph):
             seen, steps = closed[seen], steps + 1
         diam = max(diam, steps)
     target_sets = [_k_set_bits(n, k) & ~base for k in range(2, n + 1)]
-    found = _least_excess(
-        n, n, closed, lambda s, x: list(iter_bits(layers[x] & inside(s))),
-        target_sets, max(diam - 2, 0), least=1,
-    )
+    found = _least_excess(n, n, closed, holding, target_sets, max(diam - 2, 0), least=1)
     return tuple((n - e, colors) for e, colors in found)
 
 

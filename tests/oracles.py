@@ -4,18 +4,25 @@ Everything here is written from first principles (the graph6 codec straight
 from the published format description) and deliberately avoids the
 library's own code paths: dict adjacency instead of bitsets, permutation
 minima instead of the pruned canonical search, explicit subtree enumeration
-instead of the component-coverage reduction. The exceptions are
-``mvx_by_rgs_search`` and ``mx_by_rgs_search``, the library's earlier exact
-index searches over every set partition, kept as the slow paths the one
-least-excess block search behind both indices is checked against;
-``mvx_profile_by_mask_scan``, the table side of the vertex index before
-its blocks were grown as bit-parallel families; and the library's earlier
-canonical search and enumerators:
-``canonical_by_columns`` builds every unplaced vertex's column bit by bit,
-``reps_by_invariant_filter`` extends a parent by every neighborhood that
-passes the invariant filter (with that canonical search), and
-``reps_by_full_extension`` canonicalizes every one-vertex extension of
-every parent.
+instead of the component-coverage reduction. The exceptions are the
+library's earlier code, kept as the slow paths its fast paths are checked
+against:
+
+- ``mvx_by_rgs_search`` and ``mx_by_rgs_search``, the exact index searches
+  over every set partition, which the one least-excess block search behind
+  both indices replaced;
+- ``least_excess_eager``, that block search as it first built its block
+  lists (every target's, for every excess up to e, whether the search
+  reaches them or not), called by ``mvx_profile_by_mask_scan``, the table
+  side of the vertex index before its blocks were grown as bit-parallel
+  families, and by ``mx_by_eager_kernel``, the edge index over the
+  library's subtree list;
+- the earlier canonical search and enumerators: ``canonical_by_columns``
+  builds every unplaced vertex's column bit by bit,
+  ``reps_by_invariant_filter`` extends a parent by every neighborhood that
+  passes the invariant filter (with that canonical search), and
+  ``reps_by_full_extension`` canonicalizes every one-vertex extension of
+  every parent.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from monoindex.coloring import (
     _coverage_targets,
     _down_sets,
     _edge_covers,
-    _least_excess,
+    _renumber,
+    _target_bits,
     _vertex_covers,
 )
 from monoindex.graphs import (
@@ -40,6 +48,7 @@ from monoindex.graphs import (
     diameter,
     iter_bits,
 )
+from monoindex.mx import _subtrees
 from monoindex.partitions import set_partitions_with_blocks
 
 
@@ -200,13 +209,75 @@ def diameter_by_bfs(g) -> int:
     return best
 
 
+def least_excess_eager(
+    n: int, size: int, cover, holding, target_sets: list[int], low: int, least: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """``coloring._least_excess`` with eager block lists: a target's first
+    visit asks ``holding`` for every excess from 0 up to the current e, and
+    each rise of e asks it once more for every target seen so far. The
+    search, its branching order and its witnesses are those of the
+    library's kernel; only the calls to ``holding`` differ."""
+    down = _down_sets(n)
+    held: dict[int, list[list[int]]] = {}  # target -> per excess up to e, its blocks
+
+    def family(union: int, used: int, budget: int):
+        rest = targets & ~union
+        if not rest:
+            return ()
+        s = (rest & -rest).bit_length() - 1
+        if s not in held:
+            held[s] = [holding(s, x) for x in range(e + 1)]
+        for excess, level in enumerate(held[s][: budget + 1]):
+            for block in level:
+                if block & used:
+                    continue
+                below = union | down[cover[block]]
+                if budget - excess < least and targets & ~below:
+                    continue
+                found = family(below, used | block, budget - excess)
+                if found is not None:
+                    return (block,) + found
+        return None
+
+    out = []
+    e, last = low, None
+    for targets in target_sets:
+        while (chosen := family(0, 0, e)) is None:
+            e += 1
+            if e == size:  # past the excess of every element in one block
+                raise RuntimeError("unreachable: some family of blocks holds every target")
+            for s, hold in held.items():
+                hold.append(holding(s, e))
+        if chosen != last:
+            # the color of an element is its block's mask, or its own bit
+            labels = [next((b for b in chosen if b >> i & 1), 1 << i) for i in range(size)]
+            last, colors = chosen, _renumber(labels)
+        out.append((e, colors))
+    return out
+
+
+def mx_by_eager_kernel(g, k: int) -> tuple[int, tuple[int, ...]]:
+    """(mx_k, witness colors) from ``least_excess_eager`` over the subtrees
+    of two or more edges, set up as ``mx_exact_bruteforce`` sets up the
+    library's kernel. Callers check the arguments and their budget first."""
+    trees = _subtrees(g)
+    levels: list[list[int]] = [[] for _ in range(g.m)]
+    for tree in trees:
+        levels[tree.bit_count() - 1].append(tree)
+    [(e, colors)] = least_excess_eager(
+        g.n, g.m, trees, lambda s, x: [t for t in levels[x] if trees[t] & s == s],
+        [_target_bits(g, k)], 0, max(k, 3) - 2,
+    )
+    return g.m - e, colors
+
+
 def mvx_profile_by_mask_scan(g) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """``mvx_profile`` as the library first built its tables: one pass over
     every mask for the closed neighborhoods and for connectivity (a reach
     grown inside the mask), the blocks grouped by size from a dict in mask
-    order, a BFS diameter and each k's targets from ``_coverage_targets``.
-    The search itself is the shared kernel. Callers check connectivity and
-    the budget first."""
+    order, a BFS diameter and each k's targets from ``_coverage_targets``,
+    searched by ``least_excess_eager``. Callers check connectivity and the
+    budget first."""
     n, adj = g.n, g.adj
     down = _down_sets(n)
     closed = [0] * (1 << n)
@@ -227,7 +298,7 @@ def mvx_profile_by_mask_scan(g) -> tuple[tuple[int, tuple[int, ...]], ...]:
     for b in blocks:
         levels[b.bit_count() - 1].append(b)
     target_sets = [sum(1 << s for s in _coverage_targets(g, k)) & ~base for k in range(2, n + 1)]
-    found = _least_excess(
+    found = least_excess_eager(
         n,
         n,
         blocks,

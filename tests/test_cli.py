@@ -224,6 +224,12 @@ class TestErrors:
         code, out, err = run_cli(capsys, "mvx", "--graph", "Ch", "--k", k, "--bound")
         assert code == 2 and out == "" and err.startswith("error:") and "out of range" in err
 
+    @pytest.mark.parametrize("argv", [("mvx", "--k", "2"), ("mx", "--k", "2", "--exact")])
+    def test_one_vertex_graph_names_the_vertex_minimum(self, capsys, argv):
+        # "@" is the one-vertex graph; there is no k range to name for it
+        code, out, err = run_cli(capsys, *argv, "--graph", "@")
+        assert (code, out, err) == (2, "", "error: the index needs at least 2 vertices\n")
+
     @pytest.mark.parametrize("k", ["2", "5", "99"])
     def test_survey_k_out_of_range(self, capsys, monkeypatch, k):
         def no_survey(*args, **kwargs):

@@ -1,15 +1,22 @@
-"""Golden outputs: SHA-256 digests of CLI stdout and of the files it writes.
+"""Golden outputs: SHA-256 digests of CLI stdout and of the files it writes,
+and of the exact indices' witnesses.
 
-The digests were recorded before the package's graph helpers were merged
-into shared functions. Enumeration order, printed values, witness colorings
-and certificates must all stay byte-identical, so any drift shows up here
-by command. The survey CSV digests live in test_acceptance.py, which
-already holds the n = 5..7 survey records.
+The CLI digests were recorded before the package's graph helpers were
+merged into shared functions. Enumeration order, printed values, witness
+colorings and certificates must all stay byte-identical, so any drift shows
+up here by command. The witness digests were recorded before the exact
+search built its block lists on demand; they pin every value and witness
+coloring of ``mvx_profile`` for n <= 7 and of ``mx_exact_bruteforce`` for
+3 <= n <= 6 at k = 2 and 3. The survey CSV digests live in
+test_acceptance.py, which already holds the n = 5..7 survey records.
 """
 
 import hashlib
 
 from monoindex.cli import main
+from monoindex.graphs import enumerate_connected_graphs, to_graph6
+from monoindex.mvx import mvx_profile
+from monoindex.mx import mx_exact_bruteforce
 
 
 def sha256(text: str) -> str:
@@ -75,3 +82,32 @@ def test_readme_commands(capsys, tmp_path, monkeypatch):
 def test_enumerate_stdout(capsys, tmp_path):
     got = {argv: run_digest(capsys, tmp_path, argv) for argv in ENUMERATE_COMMANDS}
     assert got == ENUMERATE_COMMANDS
+
+
+def witness_digest(rows) -> str:
+    """Digest of one ``"{g6} {k} {value} {colors joined by spaces}"`` line per
+    row, each ending in a newline."""
+    return sha256("".join(f"{g6} {k} {value} {' '.join(map(str, colors))}\n"
+                          for g6, k, value, colors in rows))
+
+
+def test_mvx_profile_witnesses():
+    rows = [
+        (to_graph6(g), k, value, colors)
+        for n in range(2, 8)
+        for g in enumerate_connected_graphs(n)
+        for k, (value, colors) in enumerate(mvx_profile(g), start=2)
+    ]
+    assert len(rows) == 5785
+    assert witness_digest(rows) == "4ddc3327e371b5521f21be334b599140652a1a50e58d87ee5d1eff4c8c9b38d2"
+
+
+def test_mx_exact_witnesses():
+    rows = []
+    for n in range(3, 7):
+        for g in enumerate_connected_graphs(n):
+            for k in (2, 3):
+                res = mx_exact_bruteforce(g, k)
+                rows.append((to_graph6(g), k, res.value, res.witness.colors))
+    assert len(rows) == 282
+    assert witness_digest(rows) == "2f38a97cf736dde623bc6efa4e1abe897e9ad0bc80ae70a368e4030117e60111"

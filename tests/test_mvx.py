@@ -252,6 +252,19 @@ class TestExactSearch:
         assert [mvx_exact(g, k).value for k in range(2, 7)] == [6, 6, 5, 5, 5]
         assert calls == [2]  # the profile's own check, on its one miss
 
+    def test_results_built_once_per_profile(self):
+        # every k reads one result list: a repeated call returns the same
+        # object, and distinct colorings get distinct witnesses, one each;
+        # after the profile cache is cleared the list is built again
+        g = prism()
+        first = [mvx_exact(g, k) for k in range(2, 7)]
+        assert [mvx_exact(g, k) for k in range(2, 7)] == first
+        assert all(mvx_exact(g, r.k) is r for r in first)
+        assert len({id(r.witness) for r in first}) == len({r.witness.colors for r in first})
+        mvx.mvx_profile.cache_clear()
+        again = mvx_exact(g, 4)
+        assert again == first[2] and again is not first[2]
+
     def test_profile_agrees_with_mask_scan_oracle(self):
         # values and witness colors of the bit-parallel tables against the
         # mask loop they replace: every connected graph with n <= 7, the 49
@@ -270,6 +283,33 @@ class TestExactSearch:
             graphs.append(g if is_connected(g) else complement(g))
         for g in graphs:
             assert mvx.mvx_profile(g) == oracles.mvx_profile_by_mask_scan(g), g.edges
+
+    def test_blocks_asked_for_on_demand(self, monkeypatch):
+        # the kernel asks for the blocks of excess x holding target s at most
+        # once, never at excess 0, and only for what the eager kernel asked
+        # for too, with the same result: over every connected graph with
+        # n <= 7 it asks for fewer
+        kernel, totals = mvx._least_excess, [0, 0]
+
+        def spy(n, size, cover, holding, targets, low, least):
+            lazy, eager = [], []
+            found = kernel(n, size, cover, lambda s, x: lazy.append((s, x)) or holding(s, x),
+                           targets, low, least)
+            assert found == oracles.least_excess_eager(
+                n, size, cover, lambda s, x: eager.append((s, x)) or holding(s, x),
+                targets, low, least)
+            assert len(lazy) == len(set(lazy)) and set(lazy) <= set(eager)
+            assert least == 1 and all(x >= least for _, x in lazy)
+            totals[0] += len(lazy)
+            totals[1] += len(eager)
+            return found
+
+        monkeypatch.setattr(mvx, "_least_excess", spy)
+        for n in range(2, 8):
+            for g in enumerate_connected_graphs(n):
+                mvx.mvx_profile.cache_clear()
+                mvx.mvx_profile(g)
+        assert totals[0] < totals[1]
 
     def test_agrees_with_rgs_oracle_exhaustively(self):
         # every connected graph with n <= 7, every k: the value of the old
@@ -300,12 +340,13 @@ class TestExactSearch:
 
     @pytest.mark.parametrize("n", [9, 10, 11, 12])
     def test_cycles_paths_and_their_complements_beyond_n8(self, n):
+        # one graph at a time, every k: the profile cache holds one graph
+        for g in (cycle_graph(n), path_graph(n)):
+            for k in range(2, n + 1):
+                assert mvx_exact(g, k).value == 3, (n, g.edges, k)
         cc = complement(cycle_graph(n))
         for k in range(3, n + 1):
-            assert mvx_exact(cycle_graph(n), k).value == 3, (n, k)
-            assert mvx_exact(path_graph(n), k).value == 3, (n, k)
             assert mvx_exact(cc, k).value == complement_cycle_mvx(n, k), (n, k)
-        assert mvx_exact(cycle_graph(n), 2).value == mvx_exact(path_graph(n), 2).value == 3
 
 
 class TestExtraction:

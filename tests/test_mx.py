@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from monoindex import mx
 from monoindex.coloring import (
     MAX_KERNEL_VERTICES,
     EdgeColoring,
@@ -178,6 +179,45 @@ class TestAgainstPartitionSearch:
                     assert verify_mx_coloring(res.witness, k), (n, g.edges, k)
                     cases += 1
         assert cases == 399
+
+    def test_same_value_and_witness_as_eager_kernel(self):
+        # the kernel that builds block lists on demand against the one that
+        # built them for every excess up to e: equal values and identical
+        # witness colors on every connected graph with 3 <= n <= 6
+        cases = 0
+        for n in range(3, 7):
+            for g in enumerate_connected_graphs(n):
+                for k in (2, 3):
+                    res = mx_exact_bruteforce(g, k)
+                    assert (res.value, res.witness.colors) == oracles.mx_by_eager_kernel(g, k), (
+                        n, g.edges, k)
+                    cases += 1
+        assert cases == 282
+
+    def test_blocks_asked_for_on_demand(self, monkeypatch):
+        # the kernel asks for the trees of excess x holding target s at most
+        # once, never below the least excess of a tree holding a k-set, and
+        # only for what the eager kernel asked for too, with the same result
+        kernel, totals = mx._least_excess, [0, 0]
+
+        def spy(n, size, cover, holding, targets, low, least):
+            lazy, eager = [], []
+            found = kernel(n, size, cover, lambda s, x: lazy.append((s, x)) or holding(s, x),
+                           targets, low, least)
+            assert found == oracles.least_excess_eager(
+                n, size, cover, lambda s, x: eager.append((s, x)) or holding(s, x),
+                targets, low, least)
+            assert len(lazy) == len(set(lazy)) and set(lazy) <= set(eager)
+            assert all(x >= least for _, x in lazy)
+            totals[0] += len(lazy)
+            totals[1] += len(eager)
+            return found
+
+        monkeypatch.setattr(mx, "_least_excess", spy)
+        for g in enumerate_connected_graphs(6):
+            for k in (2, 4, 6):
+                mx_exact_bruteforce(g, k)
+        assert totals[0] < totals[1]
 
     def test_last_tree_may_spend_exactly_the_least_excess(self):
         # mx_2 = 8 here needs a family whose last tree has the least excess a
