@@ -49,7 +49,6 @@ from .graphs import (
     parse_graph6,
     path_graph,
     star_graph,
-    to_dot,
     to_edge_list,
     to_graph6,
 )
@@ -61,7 +60,6 @@ from .mvx import (
     cycle_mvc_formula,
     diameter_upper_bound,
     extract_mono_spanning_tree,
-    max_leaf_heuristic,
     max_leaf_spanning_tree,
     minimum_connected_dominating_set,
     mvx_exact,

@@ -311,7 +311,7 @@ def parse_graph6(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# edge-list text format and DOT export
+# edge-list text format
 
 def to_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
@@ -343,15 +343,6 @@ def parse_graph(text: str) -> Graph:
     if stripped and stripped[0].isdigit():
         return parse_edge_list(text)
     return parse_graph6(text)
-
-
-def to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
-    isolated = [v for v in range(g.n) if not g.adj[v]]
-    lines.extend(f"  {v};" for v in isolated)
-    lines.extend(f"  {u} -- {v};" for u, v in g.edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

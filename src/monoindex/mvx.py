@@ -68,7 +68,7 @@ class MvxResult:
     value: int
     witness: VertexColoring | None
     k: int
-    method: str  # "exact-search" | "cut-vertex" | "closed-form"
+    method: str  # "exact-search" | "cut-vertex"
 
 
 def _degrees(n: int, edges) -> list[int]:
@@ -90,8 +90,7 @@ def max_leaf_spanning_tree(g: Graph) -> SpanningTreeResult:
     n, m = g.n, g.m
     if comb(m, n - 1) > MAX_TREE_SUBSETS:
         raise BudgetError(
-            f"C({m},{n - 1}) edge subsets exceed the budget of {MAX_TREE_SUBSETS}; "
-            "use max_leaf_heuristic for a witness"
+            f"C({m},{n - 1}) edge subsets exceed the budget of {MAX_TREE_SUBSETS}"
         )
     edges = g.edges
     best_edges = None
@@ -122,36 +121,6 @@ def max_leaf_spanning_tree(g: Graph) -> SpanningTreeResult:
             best_leaves = leaves
             best_edges = combo
     return SpanningTreeResult(best_edges, best_leaves)
-
-
-def max_leaf_heuristic(g: Graph) -> SpanningTreeResult:
-    """Greedy many-leaf spanning tree; a witness, not the optimum.
-
-    Grows a connected core by repeatedly attaching the vertex that newly
-    dominates the most vertices (ties to the lowest id), then hangs every
-    non-core vertex off its lowest-id core neighbor.
-    """
-    if not is_connected(g) or g.n < 2:
-        raise ValueError("spanning trees need a connected graph on >= 2 vertices")
-    n = g.n
-    full = g.full_mask
-    closed = [g.adj[v] | 1 << v for v in range(n)]
-    start = max(range(n), key=lambda v: (closed[v].bit_count(), -v))
-    core = 1 << start
-    dominated = closed[start]
-    while dominated != full:
-        best_v = -1
-        best_gain = -1
-        for v in iter_bits(dominated & ~core):
-            if not g.adj[v] & core:
-                continue
-            gain = (closed[v] & ~dominated).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        core |= 1 << best_v
-        dominated |= closed[best_v]
-    return _tree_from_core(g, core, start)
 
 
 def _tree_from_core(g: Graph, core: int, root: int) -> SpanningTreeResult:
@@ -241,27 +210,20 @@ def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
     return MvxResult(tree.leaf_count + 1, VertexColoring(g, tuple(colors)), k, "cut-vertex")
 
 
-_results: list = [None, None]  # the last profile read, matched by identity, and its results
-
-
 def mvx_exact(g: Graph, k: int) -> MvxResult:
     """Maximum color count over all vertex colorings valid at k, read off
-    ``mvx_profile`` (which checks g): k = 2..n share one search and one result list."""
+    ``mvx_profile`` (which checks g): k = 2..n share one search."""
     if not 2 <= k <= g.n:
         _check_index_args(g, k)
-    profile = mvx_profile(g)
-    if _results[0] is not profile:
-        witness = {colors: VertexColoring(g, colors) for _, colors in profile}
-        found = [MvxResult(t, witness[c], j, "exact-search") for j, (t, c) in enumerate(profile, 2)]
-        _results[:] = profile, found
-    return _results[1][k - 2]
+    return mvx_profile(g)[k - 2]
 
 
 @lru_cache(maxsize=1)
-def mvx_profile(g: Graph):
-    """(mvx_k, witness colors) for k = 2..n from one least-excess search
-    (module docstring). It starts at e = diam - 2, as mvx_k <= n - diam + 2,
-    and each k at the e of k - 1, as validity only shrinks as k grows.
+def mvx_profile(g: Graph) -> tuple[MvxResult, ...]:
+    """The exact results for k = 2..n, one witness per distinct coloring, from
+    one least-excess search (module docstring). It starts at e = diam - 2, as
+    mvx_k <= n - diam + 2, and each k at the e of k - 1, as validity only
+    shrinks as k grows.
     Refuses g if disconnected, then if n > MAX_KERNEL_VERTICES, before any table.
     """
     _check_index_args(g, 2)
@@ -299,7 +261,9 @@ def mvx_profile(g: Graph):
         diam = max(diam, steps)
     target_sets = [_k_set_bits(n, k) & ~base for k in range(2, n + 1)]
     found = _least_excess(n, n, closed, holding, target_sets, max(diam - 2, 0), least=1)
-    return tuple((n - e, colors) for e, colors in found)
+    witness = {c: VertexColoring(g, c) for c in {c for _, c in found}}
+    return tuple(MvxResult(n - e, witness[c], k, "exact-search")
+                 for k, (e, c) in enumerate(found, 2))
 
 
 def cycle_mvc_formula(n: int) -> int:

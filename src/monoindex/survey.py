@@ -16,7 +16,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 from .graphs import (
@@ -97,14 +96,14 @@ def survey_bounds(n: int, include_n8: bool = False) -> list[SurveyRecord]:
     if not 4 <= n <= 8:
         raise ValueError(f"survey covers 4 <= n <= 8, got n={n}")
     if n > DEFAULT_SURVEY_CEILING and not include_n8:
-        raise BudgetError("n = 8 takes about 15 s; pass include_n8=True")
+        raise BudgetError("n = 8 takes about 15 s; pass --include-n8")
     records = []
     for g in enumerate_coconnected(n):
         gbar = complement(g)
         g6, g6bar = to_graph6(g), to_graph6(gbar)
         vals_g, vals_gbar = mvx_profile(g), mvx_profile(gbar)
         for k in range(3, n + 1):
-            a, b = vals_g[k - 2][0], vals_gbar[k - 2][0]
+            a, b = vals_g[k - 2].value, vals_gbar[k - 2].value
             lower = expected_lower_bound(n, k) if n >= 5 else None
             upper = 2 * n - 2 if upper_bound_applies(n, k) else None
             records.append(
@@ -136,12 +135,6 @@ def write_survey_csv(records, out) -> None:
                 r.verdict,
             ]
         )
-
-
-def survey_csv_text(records) -> str:
-    buf = io.StringIO()
-    write_survey_csv(records, buf)
-    return buf.getvalue()
 
 
 def build_near_complete_bipartite(n1: int, n2: int) -> Graph:

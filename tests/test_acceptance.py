@@ -13,6 +13,7 @@ the survey records the criteria already compute.
 """
 
 import hashlib
+import io
 import random
 
 import pytest
@@ -42,7 +43,7 @@ from monoindex.mvx import (
     mvx_profile,
     mvx_via_cut_vertex,
 )
-from monoindex.mx import construct_extremal_mx, mx_exact_bruteforce
+from monoindex.mx import MAX_BRUTEFORCE_EDGES, construct_extremal_mx, mx_exact_bruteforce
 from monoindex.reduction import build_gadget, decide_ds_via_mvx, dominating_number
 from monoindex.survey import (
     build_near_complete_bipartite,
@@ -50,8 +51,8 @@ from monoindex.survey import (
     expected_lower_bound,
     locate_F1,
     survey_bounds,
-    survey_csv_text,
     upper_bound_applies,
+    write_survey_csv,
 )
 
 import oracles
@@ -223,7 +224,7 @@ def test_c08_lower_bounds_and_sharpness(survey_records, f1_pair):
     # complements sum to the lower bound at every k = 3..n
     for n in range(7, 13):
         for g in (cycle_graph(n), path_graph(n)):
-            sums = [a + b for (a, _), (b, _) in zip(mvx_profile(g), mvx_profile(complement(g)))]
+            sums = [a.value + b.value for a, b in zip(mvx_profile(g), mvx_profile(complement(g)))]
             assert sums[1:] == [expected_lower_bound(n, k) for k in range(3, n + 1)], (n, g)
     report(8, "lower bounds hold with zero violations for n in 5..7, are attained "
               "by the cycle/path/F1 families, and C_n, P_n attain them for n in 7..12")
@@ -241,7 +242,7 @@ def test_c09_upper_bounds_and_attainment(survey_records):
     for n1, n2 in pairs:
         g = build_near_complete_bipartite(n1, n2)
         n = g.n
-        sums = [a + b for (a, _), (b, _) in zip(mvx_profile(g), mvx_profile(complement(g)))]
+        sums = [a.value + b.value for a, b in zip(mvx_profile(g), mvx_profile(complement(g)))]
         assert sums == [2 * n - 2] * (n - 1), (n1, n2, sums)
     report(9, "upper bound 2n-2 holds for k >= ceil(n/2), n in 5..7, and all 25 "
               "near-complete bipartite pairs with n1+n2 <= 12 attain it at every k")
@@ -344,21 +345,31 @@ def test_c11_property_suites():
 
 
 def test_c12_main_theorem_exhaustive():
-    # mx_3 = m - n + 2 on every connected graph with n <= 6. Validity at k + 1
-    # implies validity at k, and the spanning-tree witness is valid at every
-    # k, so this settles every k >= 3.
+    # mx_3 = m - n + 2 on every connected graph with n <= 6, and at n = 7 on
+    # every one within the search's edge budget. Validity at k + 1 implies
+    # validity at k, and the spanning-tree witness is valid at every k, so
+    # this settles every k >= 3.
     checked = 0
     for n in range(3, 7):
         for g in enumerate_connected_graphs(n):
             assert mx_exact_bruteforce(g, 3).value == g.m - g.n + 2, (n, g.edges)
             checked += 1
+    seven = skipped = 0
+    for g in enumerate_connected_graphs(7):
+        if g.m > MAX_BRUTEFORCE_EDGES:
+            skipped += 1
+            continue
+        assert mx_exact_bruteforce(g, 3).value == g.m - g.n + 2, (7, g.edges)
+        seven += 1
+    assert (seven, skipped) == (813, 40)
     # k = 2 is outside the theorem: mc = mx_2 exceeds m - n + 2 on 23 of the
     # 112 connected six-vertex graphs
     six = list(enumerate_connected_graphs(6))
     above = [g for g in six if mx_exact_bruteforce(g, 2).value > g.m - g.n + 2]
     assert (len(six), len(above)) == (112, 23)
     report(12, f"edge index equals m-n+2 at every k >= 3 on all connected n<=6 "
-               f"({checked} graphs); mx_2 exceeds it on 23 of 112 at n=6")
+               f"({checked} graphs) and on {seven} of 853 at n=7 (m <= {MAX_BRUTEFORCE_EDGES}); "
+               f"mx_2 exceeds it on 23 of 112 at n=6")
 
 
 def test_c13_gadget_index_by_exact_search():
@@ -371,7 +382,7 @@ def test_c13_gadget_index_by_exact_search():
             gadget = build_gadget(g).gadget
             profile = mvx_profile(gadget)
             for k in range(2, gadget.n + 1):
-                assert profile[k - 2][0] == mvx_via_cut_vertex(gadget, k).value, (n, g.edges, k)
+                assert profile[k - 2].value == mvx_via_cut_vertex(gadget, k).value, (n, g.edges, k)
                 checked += 1
     assert sources == 49
     report(13, f"reduction gadget's index l(T_max)+1 matches exact search at every k, "
@@ -386,10 +397,11 @@ SURVEY_CSV_SHA256 = {
 
 
 def test_survey_csv_golden(survey_records):
-    got = {
-        n: hashlib.sha256(survey_csv_text(records).encode()).hexdigest()
-        for n, records in survey_records.items()
-    }
+    got = {}
+    for n, records in survey_records.items():
+        buf = io.StringIO()
+        write_survey_csv(records, buf)
+        got[n] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert got == SURVEY_CSV_SHA256
 
 

@@ -248,6 +248,14 @@ class TestErrors:
         code, out, err = run_cli(capsys, "survey", "--n", n, "--find-f1")
         assert code == 2 and out == "" and err.startswith("error:") and "--n 6" in err
 
+    def test_survey_n8_without_opt_in_names_the_flag(self, capsys, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("survey enumerated n = 8 without --include-n8")
+
+        monkeypatch.setattr(survey, "enumerate_coconnected", no_enumeration)
+        code, out, err = run_cli(capsys, "survey", "--n", "8")
+        assert (code, out) == (2, "") and err.startswith("error:") and "--include-n8" in err
+
     @pytest.mark.parametrize("option", [("--csv", "f1.csv"), ("--k", "4")])
     def test_survey_find_f1_refuses_csv_and_k(self, capsys, monkeypatch, tmp_path, option):
         def no_enumeration(*args, **kwargs):

@@ -93,10 +93,10 @@ def witness_digest(rows) -> str:
 
 def test_mvx_profile_witnesses():
     rows = [
-        (to_graph6(g), k, value, colors)
+        (to_graph6(g), r.k, r.value, r.witness.colors)
         for n in range(2, 8)
         for g in enumerate_connected_graphs(n)
-        for k, (value, colors) in enumerate(mvx_profile(g), start=2)
+        for r in mvx_profile(g)
     ]
     assert len(rows) == 5785
     assert witness_digest(rows) == "4ddc3327e371b5521f21be334b599140652a1a50e58d87ee5d1eff4c8c9b38d2"

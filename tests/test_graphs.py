@@ -31,7 +31,6 @@ from monoindex.graphs import (
     parse_graph6,
     path_graph,
     star_graph,
-    to_dot,
     to_edge_list,
     to_graph6,
 )
@@ -374,8 +373,3 @@ class TestTextFormats:
         g = path_graph(4)
         assert parse_graph(to_edge_list(g)).adj == g.adj
         assert parse_graph(to_graph6(g)).adj == g.adj
-
-    def test_dot(self):
-        dot = to_dot(path_graph(3))
-        assert "0 -- 1;" in dot and "1 -- 2;" in dot and dot.startswith("graph G {")
-        assert "  2;" in to_dot(from_edges(3, [(0, 1)]))
