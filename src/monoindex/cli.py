@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from . import __version__
 from .coloring import (
-    MAX_KERNEL_VERTICES,
     EdgeColoring,
     _check_index_args,
     parse_coloring_certificate,
@@ -60,22 +59,16 @@ def _load_graph(source: str) -> Graph:
     return parse_graph(text)
 
 
-def _info(args: argparse.Namespace, message: str) -> None:
-    if args.verbose:
-        print(message, file=sys.stderr)
-
-
 def _print_with_witness(args: argparse.Namespace, value: int, witness) -> None:
     """Write the witness certificate, if one was asked for, then print the value.
 
     The certificate text is built and written first, so a witness that cannot
     be serialized or written fails the command before anything is printed.
     """
-    text = write_coloring_certificate(witness) if args.witness and witness is not None else None
-    if text is not None:
+    if args.witness:
+        text = write_coloring_certificate(witness)
         with open(args.witness, "w") as fh:
             fh.write(text)
-        _info(args, f"witness written to {args.witness}")
     print(value)
 
 
@@ -116,13 +109,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.emit_gadget:
         with open(args.emit_gadget, "w") as fh:
             fh.write(to_graph6(gm.gadget) + "\n")
-        _info(args, f"gadget written to {args.emit_gadget}")
     if args.certificates:
         dom = DominationCertificate(minimum_dominating_set(g), "dominating")
         lifted = lift_dominating_set(gm, dom)
         with open(args.certificates, "w") as fh:
             fh.write(write_domination_certificates([dom, lifted]))
-        _info(args, f"certificates written to {args.certificates}")
     print("yes" if answer else "no")
     return 0
 
@@ -136,7 +127,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
     print(f"graph6: {to_graph6(gm.gadget)}")
     print(f"x: {gm.x}")
     print(f"y: {gm.y}")
-    print("u:", " ".join(str(gm.u_index[i]) for i in range(g.n)))
+    print("u:", " ".join(str(g.n + i) for i in range(g.n)))
     return 0
 
 
@@ -223,19 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--exact", action="store_true", help="exact search instead of the closed form")
     p.add_argument("--witness", help="write the witness coloring certificate here")
-    p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("mvx", help="vertex index of a graph at k")
     p.set_defaults(func=_cmd_mvx)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true",
-                      help=f"exact search, up to {MAX_KERNEL_VERTICES} vertices (default)")
     mode.add_argument("--cut-vertex", action="store_true", help="fast path for cut-vertex graphs")
     mode.add_argument("--bound", action="store_true", help="print the diameter upper bound")
     p.add_argument("--witness", help="write the witness coloring certificate here")
-    p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("reduce", help="dominating-set decision through the gadget")
     p.set_defaults(func=_cmd_reduce)
@@ -243,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="dominating-set size threshold K")
     p.add_argument("--emit-gadget", help="write the gadget graph6 here")
     p.add_argument("--certificates", help="write dominating/lifted certificates here")
-    p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("gadget", help="print the reduction gadget and its vertex map")
     p.set_defaults(func=_cmd_gadget)

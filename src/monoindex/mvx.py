@@ -48,6 +48,7 @@ from .graphs import (
     connected_components,
     cut_vertices,
     diameter,
+    edge_forest,
     is_connected,
     iter_bits,
     mask_from,
@@ -66,7 +67,7 @@ class SpanningTreeResult:
 @dataclass(frozen=True)
 class MvxResult:
     value: int
-    witness: VertexColoring | None
+    witness: VertexColoring
     k: int
     method: str  # "exact-search" | "cut-vertex"
 
@@ -92,35 +93,14 @@ def max_leaf_spanning_tree(g: Graph) -> SpanningTreeResult:
         raise BudgetError(
             f"C({m},{n - 1}) edge subsets exceed the budget of {MAX_TREE_SUBSETS}"
         )
-    edges = g.edges
-    best_edges = None
-    best_leaves = -1
-    # An array union-find that stops at the first cycle. The shared
-    # edge_forest finishes every subset, which doubled the time of this scan
-    # (48,620 subsets for the reduction gadget of a 4-vertex tree).
-    for combo in itertools.combinations(edges, n - 1):
-        deg = [0] * n
-        parent = list(range(n))
-        ok = True
-        for u, v in combo:
-            deg[u] += 1
-            deg[v] += 1
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u == v:
-                ok = False  # closes a cycle
-                break
-            parent[v] = u
-        if not ok:
-            continue
+    best = SpanningTreeResult((), -1)
+    for combo in itertools.combinations(g.edges, n - 1):
         # n-1 acyclic edges on n vertices always form a spanning tree
-        leaves = sum(1 for d in deg if d == 1)
-        if leaves > best_leaves:
-            best_leaves = leaves
-            best_edges = combo
-    return SpanningTreeResult(best_edges, best_leaves)
+        if all(edge_forest(combo)[0]):
+            leaves = _degrees(n, combo).count(1)
+            if leaves > best.leaf_count:
+                best = SpanningTreeResult(combo, leaves)
+    return best
 
 
 def _tree_from_core(g: Graph, core: int, root: int) -> SpanningTreeResult:

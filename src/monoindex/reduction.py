@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import _int_token
 from .graphs import (
     Graph,
     closed_neighborhood,
@@ -38,8 +37,6 @@ class GadgetMap:
 
     source: Graph
     gadget: Graph
-    v_index: dict[int, int]
-    u_index: dict[int, int]
     x: int
     y: int
 
@@ -78,14 +75,7 @@ def build_gadget(g: Graph) -> GadgetMap:
     edges.extend((x, n + i) for i in range(n))
     edges.append((x, y))
     gadget = from_edges(2 * n + 2, edges)
-    return GadgetMap(
-        source=g,
-        gadget=gadget,
-        v_index={i: i for i in range(n)},
-        u_index={i: n + i for i in range(n)},
-        x=x,
-        y=y,
-    )
+    return GadgetMap(source=g, gadget=gadget, x=x, y=y)
 
 
 def minimum_dominating_set(g: Graph) -> frozenset[int]:
@@ -104,7 +94,7 @@ def lift_dominating_set(gm: GadgetMap, d: DominationCertificate) -> DominationCe
     if not check_certificate(gm.source, d):
         raise ValueError("input certificate is not a dominating set of the source")
     lifted = DominationCertificate(
-        frozenset(gm.u_index[v] for v in d.vertices) | {gm.x},
+        frozenset(gm.source.n + v for v in d.vertices) | {gm.x},
         "connected-dominating",
     )
     if not check_certificate(gm.gadget, lifted):
@@ -153,35 +143,3 @@ def write_domination_certificates(certs) -> str:
         vs = " ".join(str(v) for v in sorted(cert.vertices))
         stanzas.append(f"kind: {cert.kind}\nvertices: {vs}\n")
     return "\n".join(stanzas)
-
-
-def parse_domination_certificates(text: str) -> list[DominationCertificate]:
-    """Read stanzas; a bad line is reported by its number, and a stanza may
-    name its ``kind:`` and its ``vertices:`` once each."""
-    certs = []
-    stanza: dict[str, str | frozenset[int]] = {}
-
-    def flush():
-        if not stanza:
-            return
-        if len(stanza) < 2:
-            raise ValueError("certificate stanza needs both 'kind:' and 'vertices:'")
-        certs.append(DominationCertificate(stanza["vertices"], stanza["kind"]))
-        stanza.clear()
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            flush()
-            continue
-        field, colon, value = line.partition(":")
-        if not colon or field not in ("kind", "vertices"):
-            raise ValueError(f"line {lineno}: unrecognized certificate line {line!r}")
-        if field in stanza:
-            raise ValueError(f"line {lineno}: a second {field!r} line in one stanza")
-        if field == "kind":
-            stanza[field] = value.strip()
-        else:
-            stanza[field] = frozenset(_int_token(t, "vertex", lineno) for t in value.split())
-    flush()
-    return certs

@@ -19,6 +19,7 @@ import csv
 from dataclasses import dataclass
 
 from .graphs import (
+    ENUMERATION_MAX_VERTICES,
     BudgetError,
     Graph,
     complement,
@@ -63,8 +64,10 @@ def enumerate_coconnected(n: int):
 
     Complementary pairs appear via both members (once if self-complementary).
     """
-    if not 4 <= n <= 8:
-        raise ValueError(f"co-connected enumeration covers 4 <= n <= 8, got n={n}")
+    if not 4 <= n <= ENUMERATION_MAX_VERTICES:
+        raise ValueError(
+            f"co-connected enumeration covers 4 <= n <= {ENUMERATION_MAX_VERTICES}, got n={n}"
+        )
     for g in enumerate_connected_graphs(n):
         if is_connected(complement(g)):
             yield g
@@ -93,8 +96,8 @@ def survey_bounds(n: int, include_n8: bool = False) -> list[SurveyRecord]:
     n = 8 takes about 15 s (14-15 s on 2 cores with Python 3.11.7), about
     half of it enumeration, and sits behind ``include_n8``.
     """
-    if not 4 <= n <= 8:
-        raise ValueError(f"survey covers 4 <= n <= 8, got n={n}")
+    if not 4 <= n <= ENUMERATION_MAX_VERTICES:
+        raise ValueError(f"survey covers 4 <= n <= {ENUMERATION_MAX_VERTICES}, got n={n}")
     if n > DEFAULT_SURVEY_CEILING and not include_n8:
         raise BudgetError("n = 8 takes about 15 s; pass --include-n8")
     records = []

@@ -17,6 +17,9 @@ against:
   side of the vertex index before its blocks were grown as bit-parallel
   families, and by ``mx_by_eager_kernel``, the edge index over the
   library's subtree list;
+- ``max_leaf_by_array_union_find``, the max-leaf spanning-tree scan as it
+  was before it checked each edge subset with the shared ``edge_forest``:
+  an array union-find per subset that stops at the first cycle;
 - the earlier canonical search and enumerators: ``canonical_by_columns``
   builds every unplaced vertex's column bit by bit,
   ``reps_by_invariant_filter`` extends a parent by every neighborhood that
@@ -28,6 +31,7 @@ against:
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from monoindex.coloring import (
     _all_covered,
@@ -46,8 +50,10 @@ from monoindex.graphs import (
     closed_neighborhood,
     connected_components,
     diameter,
+    is_connected,
     iter_bits,
 )
+from monoindex.mvx import MAX_TREE_SUBSETS, SpanningTreeResult
 from monoindex.mx import _subtrees
 from monoindex.partitions import set_partitions_with_blocks
 
@@ -436,3 +442,47 @@ def reps_by_invariant_filter(n: int, connected: bool) -> tuple[Graph, ...]:
             if code not in found:
                 found[code] = canon
     return tuple(g for _, g in sorted(found.items()))
+
+
+def max_leaf_by_array_union_find(g: Graph) -> SpanningTreeResult:
+    """Exact maximum-leaf spanning tree by scanning all (n-1)-edge subsets.
+
+    Deliberately oblivious to the domination duality so it can serve as its
+    independent check. Refuses graphs where C(m, n-1) exceeds the budget.
+    """
+    if not is_connected(g) or g.n < 2:
+        raise ValueError("spanning trees need a connected graph on >= 2 vertices")
+    n, m = g.n, g.m
+    if comb(m, n - 1) > MAX_TREE_SUBSETS:
+        raise BudgetError(
+            f"C({m},{n - 1}) edge subsets exceed the budget of {MAX_TREE_SUBSETS}"
+        )
+    edges = g.edges
+    best_edges = None
+    best_leaves = -1
+    # An array union-find that stops at the first cycle. The shared
+    # edge_forest finishes every subset, which doubled the time of this scan
+    # (48,620 subsets for the reduction gadget of a 4-vertex tree).
+    for combo in itertools.combinations(edges, n - 1):
+        deg = [0] * n
+        parent = list(range(n))
+        ok = True
+        for u, v in combo:
+            deg[u] += 1
+            deg[v] += 1
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                ok = False  # closes a cycle
+                break
+            parent[v] = u
+        if not ok:
+            continue
+        # n-1 acyclic edges on n vertices always form a spanning tree
+        leaves = sum(1 for d in deg if d == 1)
+        if leaves > best_leaves:
+            best_leaves = leaves
+            best_edges = combo
+    return SpanningTreeResult(best_edges, best_leaves)

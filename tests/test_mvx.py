@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,14 @@ class TestMaxLeaf:
         from monoindex.graphs import is_connected
 
         assert is_connected(g)
+
+    def test_scan_matches_array_union_find(self):
+        # every connected graph with n <= 6, and every connected 7-vertex
+        # graph that _max_leaf_tree sends to the scan (C(m, 6) <= 128)
+        graphs = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+        graphs += [g for g in enumerate_connected_graphs(7) if comb(g.m, 6) <= 128]
+        for g in graphs:
+            assert max_leaf_spanning_tree(g) == oracles.max_leaf_by_array_union_find(g)
 
     def test_budget(self):
         # C(36, 8) = 30,260,340 edge subsets of K9, over MAX_TREE_SUBSETS

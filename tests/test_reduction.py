@@ -19,9 +19,7 @@ from monoindex.reduction import (
     dominating_number,
     lift_dominating_set,
     minimum_dominating_set,
-    parse_domination_certificates,
     project_cds,
-    write_domination_certificates,
 )
 
 
@@ -38,8 +36,6 @@ class TestGadget:
     def test_layout(self):
         g = path_graph(3)
         gm = build_gadget(g)
-        assert gm.v_index == {0: 0, 1: 1, 2: 2}
-        assert gm.u_index == {0: 3, 1: 4, 2: 5}
         assert gm.x == 6 and gm.y == 7
         # shadow u_i sees the closed neighborhood of v_i
         assert gm.gadget.adj[3] >> 0 & 1 and gm.gadget.adj[3] >> 1 & 1
@@ -99,26 +95,6 @@ class TestCertificates:
     def test_kind_validated(self):
         with pytest.raises(ValueError):
             DominationCertificate(frozenset(), "both")
-
-    def test_file_round_trip(self):
-        certs = [
-            DominationCertificate(frozenset({0, 2}), "dominating"),
-            DominationCertificate(frozenset({1, 3, 5}), "connected-dominating"),
-        ]
-        assert parse_domination_certificates(write_domination_certificates(certs)) == certs
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("kind: dominating\nvertices: 0 x\n", "line 2: vertex 'x' is not an integer"),
-            ("kind: dominating\nvertices: 0\n\nsize: 1\n", "line 4: unrecognized"),
-            ("kind: dominating\nkind: connected-dominating\nvertices: 0\n", "line 2: a second 'kind'"),
-            ("vertices: 0\nkind: dominating\nvertices: 1\n", "line 3: a second 'vertices'"),
-        ],
-    )
-    def test_bad_file_names_the_line(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            parse_domination_certificates(text)
 
 
 class TestLiftProject:
