@@ -74,12 +74,10 @@ from .mx import (
     simplify_coloring,
 )
 from .reduction import (
-    DominationCertificate,
-    GadgetMap,
     build_gadget,
-    check_certificate,
     decide_ds_via_mvx,
     dominating_number,
+    is_dominating,
     lift_dominating_set,
     minimum_dominating_set,
     project_cds,

@@ -35,7 +35,6 @@ from .graphs import (
 from .mvx import connected_domination_number, diameter_upper_bound, mvx_exact, mvx_via_cut_vertex
 from .mx import construct_extremal_mx, mx_exact_bruteforce, mx_k_formula
 from .reduction import (
-    DominationCertificate,
     build_gadget,
     decide_ds_via_mvx,
     lift_dominating_set,
@@ -105,28 +104,26 @@ def _cmd_mvx(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     answer = decide_ds_via_mvx(g, args.k)
-    gm = build_gadget(g)
     if args.emit_gadget:
         with open(args.emit_gadget, "w") as fh:
-            fh.write(to_graph6(gm.gadget) + "\n")
+            fh.write(to_graph6(build_gadget(g)) + "\n")
     if args.certificates:
-        dom = DominationCertificate(minimum_dominating_set(g), "dominating")
-        lifted = lift_dominating_set(gm, dom)
+        dom = minimum_dominating_set(g)
         with open(args.certificates, "w") as fh:
-            fh.write(write_domination_certificates([dom, lifted]))
+            fh.write(write_domination_certificates(dom, lift_dominating_set(g, dom)))
     print("yes" if answer else "no")
     return 0
 
 
 def _cmd_gadget(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    gm = build_gadget(g)
+    g6 = to_graph6(build_gadget(g))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(to_graph6(gm.gadget) + "\n")
-    print(f"graph6: {to_graph6(gm.gadget)}")
-    print(f"x: {gm.x}")
-    print(f"y: {gm.y}")
+            fh.write(g6 + "\n")
+    print(f"graph6: {g6}")
+    print(f"x: {2 * g.n}")
+    print(f"y: {2 * g.n + 1}")
     print("u:", " ".join(str(g.n + i) for i in range(g.n)))
     return 0
 

@@ -437,10 +437,14 @@ def parse_coloring_certificate(text: str) -> EdgeColoring | VertexColoring:
             continue
         if line.startswith("type:"):
             word = line.split(":", 1)[1].strip()
+            if kind is not None:
+                raise ValueError(f"line {lineno}: a second 'type:' line")
             if word not in kinds:
                 raise ValueError(f"line {lineno}: unknown certificate type {word!r}")
             kind = kinds[word]
         elif line.startswith("graph6:"):
+            if graph is not None:
+                raise ValueError(f"line {lineno}: a second 'graph6:' line")
             graph = parse_graph6(line.split(":", 1)[1].strip())
         elif "->" in line:
             left, right = line.split("->", 1)

@@ -231,9 +231,10 @@ def diameter(g: Graph) -> int:
         raise ValueError("diameter is only defined for connected graphs")
     best = 0
     for s in range(g.n):
-        seen, dist = 1 << s, 0
-        while seen != g.full_mask:
-            seen, dist = closed_neighborhood(g, seen), dist + 1
+        seen = frontier = 1 << s
+        dist = 0
+        while frontier := closed_neighborhood(g, frontier) & ~seen:
+            seen, dist = seen | frontier, dist + 1
         best = max(best, dist)
     return best
 
@@ -290,23 +291,22 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"byte {len(s)}: truncated input, expected {need} data bytes")
     if len(s) - 1 > need:
         raise Graph6Error(f"byte {1 + need}: trailing garbage after {need} data bytes")
-    bits = []
+    data = 0
     for off, ch in enumerate(s[1:], start=1):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise Graph6Error(f"byte {off}: data byte {ord(ch)} outside printable range")
-        bits.extend((val >> shift & 1) for shift in range(5, -1, -1))
-    used = n * (n - 1) // 2
-    if any(bits[used:]):
+        data = data << 6 | val
+    pos = 6 * need  # pair p is bit pos - 1 - p, above the padding
+    if data & ((1 << (pos - n * (n - 1) // 2)) - 1):
         raise Graph6Error(f"byte {need}: nonzero padding bits")
     rows = [0] * n
-    pos = 0
     for j in range(1, n):
         for i in range(j):
-            if bits[pos]:
+            pos -= 1
+            if data >> pos & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            pos += 1
     return Graph(n, tuple(rows))
 
 

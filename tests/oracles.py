@@ -17,6 +17,11 @@ against:
   side of the vertex index before its blocks were grown as bit-parallel
   families, and by ``mx_by_eager_kernel``, the edge index over the
   library's subtree list;
+- ``parse_graph6_by_bit_list``, the graph6 decoder as it was before it
+  folded the data bytes into one int: a list of bits, read by index;
+- ``diameter_by_closure``, the diameter as it was before it walked only
+  each new frontier: every step takes the closed neighborhood of all
+  vertices reached so far;
 - ``max_leaf_by_array_union_find``, the max-leaf spanning-tree scan as it
   was before it checked each edge subset with the shared ``edge_forest``:
   an array union-find per subset that stops at the first cycle;
@@ -44,8 +49,10 @@ from monoindex.coloring import (
 )
 from monoindex.graphs import (
     ENUMERATION_MAX_VERTICES,
+    GRAPH6_HEADER,
     BudgetError,
     Graph,
+    Graph6Error,
     _canonical,
     closed_neighborhood,
     connected_components,
@@ -72,6 +79,48 @@ def g6_encode(n: int, edges: set[tuple[int, int]]) -> str:
     for i in range(0, len(bitstring), 6):
         out += chr(int(bitstring[i : i + 6], 2) + 63)
     return out
+
+
+def parse_graph6_by_bit_list(text: str) -> Graph:
+    """``parse_graph6`` as it first decoded: every data byte unpacked into a
+    list of bits, the padding checked with ``any`` and the pairs read by
+    index. Same checks, messages and byte offsets as the library."""
+    s = text.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):]
+    if not s:
+        raise Graph6Error("byte 0: empty graph6 input")
+    size = ord(s[0])
+    if size == 126:
+        raise Graph6Error("byte 0: multi-byte size form (n > 62) is unsupported")
+    if not 63 <= size <= 125:
+        raise Graph6Error(f"byte 0: size byte {size} outside printable graph6 range")
+    n = size - 63
+    if n == 0:
+        raise Graph6Error("byte 0: zero-vertex graphs are unsupported")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(s) - 1 < need:
+        raise Graph6Error(f"byte {len(s)}: truncated input, expected {need} data bytes")
+    if len(s) - 1 > need:
+        raise Graph6Error(f"byte {1 + need}: trailing garbage after {need} data bytes")
+    bits = []
+    for off, ch in enumerate(s[1:], start=1):
+        val = ord(ch) - 63
+        if not 0 <= val <= 63:
+            raise Graph6Error(f"byte {off}: data byte {ord(ch)} outside printable range")
+        bits.extend((val >> shift & 1) for shift in range(5, -1, -1))
+    used = n * (n - 1) // 2
+    if any(bits[used:]):
+        raise Graph6Error(f"byte {need}: nonzero padding bits")
+    rows = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[pos]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            pos += 1
+    return Graph(n, tuple(rows))
 
 
 def g6_decode(text: str) -> tuple[int, set[tuple[int, int]]]:
@@ -201,16 +250,15 @@ def mvx_by_rgs_search(g, k: int) -> tuple[int, tuple[int, ...]]:
     raise RuntimeError("unreachable: one color is always valid on a connected graph")
 
 
-def diameter_by_bfs(g) -> int:
-    """The largest eccentricity, each from a BFS that grows one frontier of
-    new vertices at a time and stops when a frontier comes out empty."""
+def diameter_by_closure(g) -> int:
+    """The largest eccentricity, each from a walk that replaces the reached
+    set by its closed neighborhood until it holds every vertex. Callers
+    check connectivity first."""
     best = 0
     for s in range(g.n):
-        seen = frontier = 1 << s
-        dist = 0
-        while frontier := closed_neighborhood(g, frontier) & ~seen:
-            dist += 1
-            seen |= frontier
+        seen, dist = 1 << s, 0
+        while seen != g.full_mask:
+            seen, dist = closed_neighborhood(g, seen), dist + 1
         best = max(best, dist)
     return best
 
@@ -281,7 +329,7 @@ def mvx_profile_by_mask_scan(g) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """``mvx_profile`` as the library first built its tables: one pass over
     every mask for the closed neighborhoods and for connectivity (a reach
     grown inside the mask), the blocks grouped by size from a dict in mask
-    order, a BFS diameter and each k's targets from ``_coverage_targets``,
+    order, a closure-walk diameter and each k's targets from ``_coverage_targets``,
     searched by ``least_excess_eager``. Callers check connectivity and the
     budget first."""
     n, adj = g.n, g.adj
@@ -310,7 +358,7 @@ def mvx_profile_by_mask_scan(g) -> tuple[tuple[int, tuple[int, ...]], ...]:
         blocks,
         lambda s, x: [b for b in levels[x] if blocks[b] & s == s],
         target_sets,
-        max(diameter_by_bfs(g) - 2, 0),
+        max(diameter_by_closure(g) - 2, 0),
         least=1,
     )
     return tuple((n - e, colors) for e, colors in found)

@@ -168,9 +168,8 @@ def test_c05_reduction_round_trip():
     checked = 0
     for n in range(1, 7):
         for g in enumerate_graphs(n):
-            gm = build_gadget(g)
             gamma = dominating_number(g)
-            gamma_c = connected_domination_number(gm.gadget)
+            gamma_c = connected_domination_number(build_gadget(g))
             assert gamma_c == gamma + 1, (n, g.edges)
             for K in range(1, n + 1):
                 assert (gamma <= K) == (gamma_c <= K + 1), (n, g.edges, K)
@@ -379,7 +378,7 @@ def test_c13_gadget_index_by_exact_search():
     for n in range(3, 6):
         for g in enumerate_graphs(n):
             sources += 1
-            gadget = build_gadget(g).gadget
+            gadget = build_gadget(g)
             profile = mvx_profile(gadget)
             for k in range(2, gadget.n + 1):
                 assert profile[k - 2].value == mvx_via_cut_vertex(gadget, k).value, (n, g.edges, k)

@@ -31,6 +31,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv, **kwargs):
+    """Run the CLI in a fresh interpreter on this checkout's source."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "monoindex.cli", *argv], capture_output=True, text=True, env=env, **kwargs
+    )
+
+
 class TestMx:
     def test_formula_k4(self, capsys, tmp_path):
         path = tmp_path / "k4.g6"
@@ -300,6 +310,8 @@ class TestErrors:
             (["type: edge", "0 1 -> 0", "0 2 -> 0", "1 2 -> 0", "0 1 -> 1"], "line 6"),
             (["type: edge", "0 1 -> x", "0 2 -> 0", "1 2 -> 0"], "line 3: color 'x'"),
             (["type: vertex", "a -> 1", "1 -> 0", "2 -> 0"], "line 3: vertex 'a'"),
+            (["type: edge", "type: vertex", "0 -> 0", "1 -> 1", "2 -> 2"], "line 3: a second 'type:'"),
+            (["type: vertex", "0 -> 0", "1 -> 1", "2 -> 2", "graph6: BW"], "line 6: a second 'graph6:'"),
         ],
     )
     def test_bad_certificate_element(self, capsys, tmp_path, lines, message):
@@ -307,6 +319,13 @@ class TestErrors:
         cert.write_text("\n".join(["graph6: Bw", *lines]) + "\n")
         code, out, err = run_cli(capsys, "verify", "--coloring", str(cert), "--k", "3")
         assert code == 2 and out == "" and err.startswith("error:") and message in err
+
+    def test_bound_on_a_long_path_is_quick(self, tmp_path):
+        # the diameter walk expands only each new frontier: 800 BFS of 800 steps
+        graph = tmp_path / "p800.txt"
+        graph.write_text(to_edge_list(path_graph(800)))
+        done = run_fresh("mvx", "--graph", str(graph), "--k", "2", "--bound", timeout=10)
+        assert done.returncode == 0 and done.stdout == "3\n"
 
     def test_mvx_beyond_kernel_ceiling_exits_2_quickly(self, capsys):
         c30 = to_graph6(cycle_graph(30))
@@ -352,7 +371,7 @@ class TestParserReuse:
 
     def test_errors_leave_no_state_behind(self, capsys, tmp_path):
         # a gadget with a cut vertex and 10 vertices, as the reduce path sees it
-        g6 = to_graph6(build_gadget(path_graph(4)).gadget)
+        g6 = to_graph6(build_gadget(path_graph(4)))
         argv = ["mvx", "--graph", g6, "--k", "3", "--cut-vertex"]
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--bound"])
@@ -363,13 +382,7 @@ class TestParserReuse:
         code, out, err = run_cli(capsys, *argv, "--witness", str(tmp_path / "here.txt"))
         assert code == 0 and err == ""
 
-        env = dict(os.environ)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        fresh = subprocess.run(
-            [sys.executable, "-m", "monoindex.cli", *argv, "--witness", str(tmp_path / "fresh.txt")],
-            capture_output=True, text=True, env=env, check=True,
-        )
+        fresh = run_fresh(*argv, "--witness", str(tmp_path / "fresh.txt"), check=True)
         assert out == fresh.stdout == "8\n"
         assert (tmp_path / "here.txt").read_text() == (tmp_path / "fresh.txt").read_text()
 

@@ -273,3 +273,12 @@ class TestCertificates:
         text = "type: edge\ngraph6: Bw\n0 1 -> 0\n0 2 -> 0\n1 2 -> 0\n1 0 -> 1\n"
         with pytest.raises(ValueError, match="line 6"):
             parse_coloring_certificate(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("type: edge\ngraph6: Bw\ntype: vertex\n0 -> 0\n1 -> 1\n2 -> 2\n", "line 3: a second 'type:'"),
+         ("type: vertex\ngraph6: Bw\n0 -> 0\n1 -> 1\n2 -> 2\ngraph6: BW\n", "line 6: a second 'graph6:'")],
+    )
+    def test_header_named_twice(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_coloring_certificate(text)

@@ -8,10 +8,13 @@ up here by command. The witness digests were recorded before the exact
 search built its block lists on demand; they pin every value and witness
 coloring of ``mvx_profile`` for n <= 7 and of ``mx_exact_bruteforce`` for
 3 <= n <= 6 at k = 2 and 3. The survey CSV digests live in
-test_acceptance.py, which already holds the n = 5..7 survey records.
+test_acceptance.py, which already holds the n = 5..7 survey records. The
+README's Library block runs here as well, with its printed and commented
+values.
 """
 
 import hashlib
+from pathlib import Path
 
 from monoindex.cli import main
 from monoindex.graphs import enumerate_connected_graphs, to_graph6
@@ -77,6 +80,15 @@ def test_readme_commands(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = {argv: run_digest(capsys, tmp_path, argv) for argv in README_COMMANDS}
     assert got == README_COMMANDS
+
+
+def test_readme_library_block(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(block, scope)
+    assert capsys.readouterr().out == "8\n"
+    assert scope["result"].value == 7
 
 
 def test_enumerate_stdout(capsys, tmp_path):

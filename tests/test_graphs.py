@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
@@ -136,6 +137,40 @@ class TestGraph6:
         g = random_graph(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
         assert parse_graph6(to_graph6(g)).adj == g.adj
 
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text).adj
+        except Graph6Error as exc:
+            return str(exc)
+
+    def test_chunk_decoder_matches_bit_list_oracle(self):
+        rng = random.Random(2016)
+        texts = [to_graph6(g) for n in range(1, 8) for g in enumerate_graphs(n)]
+        assert len(texts) == 1252
+        texts += [
+            to_graph6(random_graph(n, rng.getrandbits(n * (n - 1) // 2)))
+            for n in range(8, 63) for _ in range(4)
+        ]
+        for text in texts:
+            assert self.outcome(parse_graph6, text) == oracles.parse_graph6_by_bit_list(text).adj, text
+
+    def test_chunk_decoder_errors_match_bit_list_oracle(self):
+        # short, exact and long payloads for n = 2..6 from bytes that are out of
+        # range, zero, set only in the padding, or full; plus the header cases
+        chars = "\x3e?@A_`x~\x7f"
+        texts = ["", " ", "?", "@", "@?", "~??", "\x7f", ">>graph6<<", ">>graph6<<C~", "\x1aabc"]
+        for n in range(2, 7):
+            need = (n * (n - 1) // 2 + 5) // 6
+            for length in (need - 1, need, need + 1):
+                texts += [chr(63 + n) + "".join(p) for p in itertools.product(chars, repeat=length)]
+        errors = 0
+        for text in texts:
+            want = self.outcome(oracles.parse_graph6_by_bit_list, text)
+            assert self.outcome(parse_graph6, text) == want, repr(text)
+            errors += isinstance(want, str)
+        assert errors > len(texts) // 2
+
 
 class TestComplement:
     def test_c5_self_complementary(self):
@@ -219,10 +254,11 @@ class TestDiameter:
             diameter(from_edges(3, [(0, 1)]))
 
     def test_agrees_with_bfs_oracle(self):
+        # the oracle is the closure walk: each step expands every vertex reached
         graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
         assert len(graphs) == 996
         for g in graphs:
-            assert diameter(g) == oracles.diameter_by_bfs(g), g.edges
+            assert diameter(g) == oracles.diameter_by_closure(g), g.edges
 
 
 class TestCanonicalForm:

@@ -268,7 +268,7 @@ class TestExactSearch:
         # and 100 seeded graphs with 9-12 vertices
         graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
         assert len(graphs) == 995
-        graphs += [build_gadget(g).gadget for n in range(3, 6) for g in enumerate_graphs(n)]
+        graphs += [build_gadget(g) for n in range(3, 6) for g in enumerate_graphs(n)]
         graphs += [cycle_graph(12), path_graph(12), complement(cycle_graph(12))]
         rng = random.Random(13)
         while len(graphs) < 995 + 49 + 3 + 100:

@@ -3,24 +3,29 @@ import pytest
 from monoindex.graphs import (
     Graph,
     complete_graph,
+    connected_components,
     cut_vertices,
     cycle_graph,
     enumerate_graphs,
     from_edges,
     is_connected,
+    mask_from,
     path_graph,
 )
 from monoindex.mvx import connected_domination_number, minimum_connected_dominating_set
 from monoindex.reduction import (
-    DominationCertificate,
     build_gadget,
-    check_certificate,
     decide_ds_via_mvx,
     dominating_number,
+    is_dominating,
     lift_dominating_set,
     minimum_dominating_set,
     project_cds,
 )
+
+
+def is_cds(g: Graph, mask: int) -> bool:
+    return is_dominating(g, mask) and connected_components(g, mask) == [mask]
 
 
 class TestGadget:
@@ -30,43 +35,38 @@ class TestGadget:
             (path_graph(3), 8, 13),
             (Graph(1, (0,)), 4, 3),
         ):
-            gm = build_gadget(g)
-            assert gm.gadget.n == nn and gm.gadget.m == mm
+            gadget = build_gadget(g)
+            assert gadget.n == nn and gadget.m == mm
 
     def test_layout(self):
         g = path_graph(3)
-        gm = build_gadget(g)
-        assert gm.x == 6 and gm.y == 7
-        # shadow u_i sees the closed neighborhood of v_i
-        assert gm.gadget.adj[3] >> 0 & 1 and gm.gadget.adj[3] >> 1 & 1
-        assert not gm.gadget.adj[3] >> 2 & 1
+        gadget = build_gadget(g)
+        # shadow u_i sees the closed neighborhood of v_i; x = 6 sees every
+        # shadow and the pendant y = 7
+        assert gadget.adj[3] >> 0 & 1 and gadget.adj[3] >> 1 & 1
+        assert not gadget.adj[3] >> 2 & 1
+        assert gadget.adj[6] == mask_from([3, 4, 5, 7]) and gadget.adj[7] == mask_from([6])
 
     def test_connected_with_cut_vertex_x(self):
         disconnected = from_edges(4, [(0, 1)])
-        gm = build_gadget(disconnected)
-        assert is_connected(gm.gadget)
-        assert cut_vertices(gm.gadget) >> gm.x & 1
+        gadget = build_gadget(disconnected)
+        assert is_connected(gadget)
+        assert cut_vertices(gadget) >> 2 * disconnected.n & 1
 
     def test_pendant_forces_x_in_minimum(self):
         for n in range(1, 5):
             for g in enumerate_graphs(n):
-                gm = build_gadget(g)
-                cds = minimum_connected_dominating_set(gm.gadget)
-                assert cds >> gm.x & 1
+                cds = minimum_connected_dominating_set(build_gadget(g))
+                assert cds >> 2 * n & 1
 
     def test_pendant_forces_x_in_every_cds(self):
         # exhaustive over all vertex subsets of the smallest gadgets
         for n in (1, 2):
             for g in enumerate_graphs(n):
-                gm = build_gadget(g)
-                N = gm.gadget.n
-                for mask in range(1, 1 << N):
-                    cert = DominationCertificate(
-                        frozenset(v for v in range(N) if mask >> v & 1),
-                        "connected-dominating",
-                    )
-                    if check_certificate(gm.gadget, cert):
-                        assert mask >> gm.x & 1
+                gadget = build_gadget(g)
+                for mask in range(1, 1 << gadget.n):
+                    if is_cds(gadget, mask):
+                        assert mask >> 2 * n & 1
 
 
 class TestDominatingNumber:
@@ -83,71 +83,76 @@ class TestDominatingNumber:
 class TestCertificates:
     def test_checker(self):
         c4 = cycle_graph(4)
-        assert check_certificate(c4, DominationCertificate(frozenset({0, 2}), "dominating"))
-        assert not check_certificate(c4, DominationCertificate(frozenset({0}), "dominating"))
-        assert not check_certificate(
-            c4, DominationCertificate(frozenset({0, 2}), "connected-dominating")
-        )
-        assert check_certificate(
-            c4, DominationCertificate(frozenset({0, 1}), "connected-dominating")
-        )
+        assert is_dominating(c4, mask_from([0, 2]))
+        assert not is_dominating(c4, mask_from([0]))
+        assert not is_cds(c4, mask_from([0, 2]))
+        assert is_cds(c4, mask_from([0, 1]))
 
-    def test_kind_validated(self):
-        with pytest.raises(ValueError):
-            DominationCertificate(frozenset(), "both")
+    def test_bits_past_the_graph_rejected(self):
+        c4 = cycle_graph(4)
+        assert not is_dominating(c4, mask_from([0, 2, 4]))
+        assert not is_dominating(c4, -1)
+        assert is_dominating(c4, c4.full_mask)
 
 
 class TestLiftProject:
     def test_lift_k3(self):
-        gm = build_gadget(complete_graph(3))
-        lifted = lift_dominating_set(gm, DominationCertificate(frozenset({0}), "dominating"))
-        assert lifted.vertices == {3, 6}
-        assert check_certificate(gm.gadget, lifted)
+        lifted = lift_dominating_set(complete_graph(3), mask_from([0]))
+        assert lifted == mask_from([3, 6])
+        assert is_cds(build_gadget(complete_graph(3)), lifted)
 
     def test_lift_p3(self):
-        gm = build_gadget(path_graph(3))
-        lifted = lift_dominating_set(gm, DominationCertificate(frozenset({1}), "dominating"))
-        assert lifted.vertices == {4, 6}
+        assert lift_dominating_set(path_graph(3), mask_from([1])) == mask_from([4, 6])
 
     def test_lift_everything(self):
         g = cycle_graph(4)
-        gm = build_gadget(g)
-        lifted = lift_dominating_set(
-            gm, DominationCertificate(frozenset(range(4)), "dominating")
-        )
-        assert len(lifted.vertices) == 5
+        assert lift_dominating_set(g, g.full_mask).bit_count() == 5
 
     def test_lift_rejects_invalid(self):
-        gm = build_gadget(cycle_graph(4))
         with pytest.raises(ValueError):
-            lift_dominating_set(gm, DominationCertificate(frozenset({0}), "dominating"))
+            lift_dominating_set(cycle_graph(4), mask_from([0]))
+        with pytest.raises(ValueError):
+            lift_dominating_set(cycle_graph(4), mask_from([0, 2, 4]))
 
     def test_project_k3(self):
-        gm = build_gadget(complete_graph(3))
-        projected = project_cds(
-            gm, DominationCertificate(frozenset({3, 6}), "connected-dominating")
-        )
-        assert projected.vertices == {0}
+        assert project_cds(complete_graph(3), mask_from([3, 6])) == mask_from([0])
 
     def test_project_dedupes_shadow_pairs(self):
-        gm = build_gadget(complete_graph(3))
-        projected = project_cds(
-            gm, DominationCertificate(frozenset({0, 3, 6}), "connected-dominating")
-        )
-        assert projected.vertices == {0}
+        assert project_cds(complete_graph(3), mask_from([0, 3, 6])) == mask_from([0])
+
+    def test_project_rejects_invalid(self):
+        with pytest.raises(ValueError):  # dominating but not connected
+            project_cds(complete_graph(3), mask_from([0, 7]))
+        with pytest.raises(ValueError):  # a bit past the gadget
+            project_cds(complete_graph(3), mask_from([3, 6, 8]))
 
     def test_project_shrinks(self):
         for g in (cycle_graph(4), path_graph(4), complete_graph(4)):
-            gm = build_gadget(g)
-            cds = DominationCertificate(
-                frozenset(
-                    v for v in range(gm.gadget.n)
-                    if minimum_connected_dominating_set(gm.gadget) >> v & 1
-                ),
-                "connected-dominating",
-            )
-            projected = project_cds(gm, cds)
-            assert len(projected.vertices) <= len(cds.vertices) - 1
+            cds = minimum_connected_dominating_set(build_gadget(g))
+            assert project_cds(g, cds).bit_count() <= cds.bit_count() - 1
+
+    def test_lift_then_project_every_dominating_set(self):
+        for n in range(1, 5):
+            for g in enumerate_graphs(n):
+                gadget = build_gadget(g)
+                for d in range(1, 1 << n):
+                    if not is_dominating(g, d):
+                        continue
+                    lifted = lift_dominating_set(g, d)
+                    assert is_cds(gadget, lifted) and lifted.bit_count() == d.bit_count() + 1
+                    assert project_cds(g, lifted) == d
+
+    def test_project_every_cds_of_small_gadgets(self):
+        projected = 0
+        for n in range(1, 4):
+            for g in enumerate_graphs(n):
+                gadget = build_gadget(g)
+                for d_prime in range(1, 1 << gadget.n):
+                    if is_cds(gadget, d_prime):
+                        d = project_cds(g, d_prime)
+                        assert is_dominating(g, d) and d.bit_count() <= d_prime.bit_count() - 1
+                        projected += 1
+        assert projected > 0
 
 
 class TestDecision:
@@ -161,9 +166,8 @@ class TestDecision:
         # the full n <= 6 sweep lives in the acceptance suite
         for n in range(1, 5):
             for g in enumerate_graphs(n):
-                gm = build_gadget(g)
                 gamma = dominating_number(g)
-                gamma_c = connected_domination_number(gm.gadget)
+                gamma_c = connected_domination_number(build_gadget(g))
                 assert gamma_c == gamma + 1
                 for K in range(1, n + 1):
                     assert (gamma <= K) == (gamma_c <= K + 1)
@@ -177,5 +181,7 @@ class TestDecision:
         for n in range(1, 6):
             for g in enumerate_graphs(n):
                 d = minimum_dominating_set(g)
-                assert check_certificate(g, DominationCertificate(d, "dominating"))
-                assert len(d) == dominating_number(g)
+                assert is_dominating(g, d)
+                assert d.bit_count() == dominating_number(g)
+                smaller = (s for s in range(1 << n) if s.bit_count() < d.bit_count())
+                assert not any(is_dominating(g, s) for s in smaller)
