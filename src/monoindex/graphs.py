@@ -355,37 +355,44 @@ def canonical_code(g: Graph) -> int:
     so comparing codes of equal-order graphs matches comparing their
     canonical graph6 strings.
     """
-    return _canonical(g)[0]
+    return _canonical(g.adj)[0]
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of g (the enumeration representative)."""
-    return _canonical(g)[1]
+    return _relabel(g.adj, _canonical(g.adj)[1])
 
 
-def _canonical(g: Graph) -> tuple[int, Graph, frozenset[tuple[int, ...]]]:
-    """(code, canonical graph, automorphisms of the canonical graph that the
-    search met on the way, each a tuple p sending vertex i to p[i])."""
-    n = g.n
+def _relabel(adj: tuple[int, ...], order: tuple[int, ...]) -> Graph:
+    """The graph whose vertex i is vertex order[i] of adj."""
+    at = {u: i for i, u in enumerate(order)}
+    return Graph(len(adj), tuple(mask_from(at[w] for w in iter_bits(adj[u])) for u in order))
+
+
+def _canonical(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...], list]:
+    """(code, canonical order, moves) for the graph with these rows.
+
+    The canonical graph puts vertex order[i] at i. Each move is a pair of
+    orders p, q over one vertex set with the same code and the same edges
+    to the rest; p[i] -> q[i], fixing every other vertex, is an automorphism
+    of the graph (``_automorphisms`` relabels them onto the canonical graph).
+    """
+    n = len(adj)
     if n == 1:
-        return 0, g, frozenset()
-    adj = g.adj
+        return 0, (0,), []
     full = (1 << n) - 1
     # Orderings are grown one position at a time; the frontier holds every
     # ordering prefix that still achieves the minimal bitstring.
     frontier = [((v,), 1 << v) for v in range(n)]
     code = 0
-    # each move pairs up p[i] and q[i] for two orders p, q over one vertex set
-    # with the same code and the same edges to the rest; p[i] -> q[i], fixing
-    # every other vertex, is an automorphism of g
-    moves = set()
+    moves = []
     for pos in range(1, n):
         best = 1 << pos
         ext = []
         for order, placed in frontier:
             # the least column over the unplaced vertices, bit by bit, and
             # every vertex that has it
-            cand = full & ~placed
+            cand = full ^ placed
             col = 0
             for u in order:
                 zero = cand & ~adj[u]
@@ -399,32 +406,40 @@ def _canonical(g: Graph) -> tuple[int, Graph, frozenset[tuple[int, ...]]]:
             if col < best:
                 best = col
                 ext = []
-            ext.extend((order + (v,), placed | 1 << v) for v in iter_bits(cand))
+            while cand:
+                low = cand & -cand
+                ext.append((order + (low.bit_length() - 1,), placed | low))
+                cand ^= low
         if len(ext) > n:
             # Prefixes of highly symmetric graphs tie in droves; two prefixes
             # over the same vertex set with identical edges to the unplaced
             # vertices have identical futures, so keep one of each.
             unique = {}
-            for order, placed in ext:
-                rest = full & ~placed
-                key = (placed, tuple(adj[u] & rest for u in order))
-                kept = unique.setdefault(key, (order, placed))[0]
-                if kept is not order:
-                    moves.add(frozenset(zip(order, kept)))
+            for prefix in ext:
+                order, placed = prefix
+                rest = full ^ placed
+                kept = unique.setdefault((placed, *[adj[u] & rest for u in order]), prefix)
+                if kept is not prefix:
+                    moves.append((order, kept[0]))
             ext = list(unique.values())
         frontier = ext
         code = code << pos | best
     order = frontier[0][0]
+    moves.extend((other, order) for other, _ in frontier[1:])
+    return code, order, moves
+
+
+def _automorphisms(order: tuple[int, ...], moves: list) -> set[tuple[int, ...]]:
+    """The moves of one canonical search as automorphisms of its canonical
+    graph, each a tuple p sending vertex i to p[i]."""
     at = {u: i for i, u in enumerate(order)}
-    moves.update(frozenset(zip(other, order)) for other, _ in frontier[1:])
     auts = set()
-    for move in moves:
-        perm = list(range(n))
-        for a, b in move:
+    for p, q in moves:
+        perm = list(range(len(order)))
+        for a, b in zip(p, q):
             perm[at[a]] = at[b]
         auts.add(tuple(perm))
-    rows = tuple(mask_from(at[w] for w in iter_bits(adj[u])) for u in order)
-    return code, Graph(n, rows), frozenset(auts)
+    return auts
 
 
 def _reps(n: int, connected: bool) -> tuple[Graph, ...]:
@@ -493,8 +508,10 @@ def _classes(n: int, connected: bool) -> tuple[tuple[Graph, frozenset], ...]:
                 for u in range(v)
             ):
                 continue
-            code, canon, child_auts = _canonical(Graph(n, adj))
-            found.setdefault(code, (canon, set()))[1].update(child_auts)
+            code, order, moves = _canonical(adj)
+            if code not in found:
+                found[code] = (_relabel(adj, order), set())
+            found[code][1].update(_automorphisms(order, moves))
     return tuple((g, frozenset(a)) for _, (g, a) in sorted(found.items()))
 
 

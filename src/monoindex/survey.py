@@ -90,23 +90,65 @@ def upper_bound_applies(n: int, k: int) -> bool:
     return n >= 5 and k >= (n + 1) // 2
 
 
+def _profile_values(g: Graph) -> bytes:
+    """mvx_k(g) for k = 2..n; each fits a byte, as mvx_k <= n."""
+    return bytes(r.value for r in mvx_profile(g))
+
+
+def _invariant_hash(g: Graph) -> int:
+    """Hash of the sorted (degree, triangles, sorted neighbor degrees) of
+    g's vertices: isomorphic graphs get equal hashes."""
+    adj = g.adj
+    deg = [row.bit_count() for row in adj]
+    per_vertex = []
+    for row in adj:
+        degrees, triangles = [], 0
+        for w in range(g.n):
+            if row >> w & 1:
+                degrees.append(deg[w])
+                triangles += (adj[w] & row).bit_count()
+        degrees.sort()
+        per_vertex.append((len(degrees), triangles // 2, tuple(degrees)))
+    per_vertex.sort()
+    return hash(tuple(per_vertex))
+
+
+def _complement_pairs(n: int):
+    """(g, values of g, complement of g, values of the complement) for each
+    co-connected representative g on n vertices, the values being mvx_k for
+    k = 2..n: one index profile per class, plus one for each complement
+    whose invariant another representative shares."""
+    graphs = list(enumerate_coconnected(n))
+    values = [_profile_values(g) for g in graphs]
+    # Each complement is isomorphic to exactly one representative, which
+    # shares its invariant, so a hash that one representative alone has
+    # names the complement's class. A shared hash maps to None, and that
+    # complement gets its own profile.
+    owner: dict[int, int | None] = {}
+    for i, g in enumerate(graphs):
+        key = _invariant_hash(g)
+        owner[key] = None if key in owner else i
+    for g, vals_g in zip(graphs, values):
+        gbar = complement(g)
+        i = owner[_invariant_hash(gbar)]
+        yield g, vals_g, gbar, values[i] if i is not None else _profile_values(gbar)
+
+
 def survey_bounds(n: int, include_n8: bool = False) -> list[SurveyRecord]:
     """All survey records for n, sorted by (n, g6, k); every verdict must pass.
 
-    n = 8 takes about 15 s (14-15 s on 2 cores with Python 3.11.7), about
+    n = 8 takes about 8 s (6.5-9.5 s on 2 cores with Python 3.11.7), about
     half of it enumeration, and sits behind ``include_n8``.
     """
     if not 4 <= n <= ENUMERATION_MAX_VERTICES:
         raise ValueError(f"survey covers 4 <= n <= {ENUMERATION_MAX_VERTICES}, got n={n}")
     if n > DEFAULT_SURVEY_CEILING and not include_n8:
-        raise BudgetError("n = 8 takes about 15 s; pass --include-n8")
+        raise BudgetError("n = 8 takes about 8 s; pass --include-n8")
     records = []
-    for g in enumerate_coconnected(n):
-        gbar = complement(g)
+    for g, vals_g, gbar, vals_gbar in _complement_pairs(n):
         g6, g6bar = to_graph6(g), to_graph6(gbar)
-        vals_g, vals_gbar = mvx_profile(g), mvx_profile(gbar)
         for k in range(3, n + 1):
-            a, b = vals_g[k - 2].value, vals_gbar[k - 2].value
+            a, b = vals_g[k - 2], vals_gbar[k - 2]
             lower = expected_lower_bound(n, k) if n >= 5 else None
             upper = 2 * n - 2 if upper_bound_applies(n, k) else None
             records.append(

@@ -25,12 +25,17 @@ against:
 - ``max_leaf_by_array_union_find``, the max-leaf spanning-tree scan as it
   was before it checked each edge subset with the shared ``edge_forest``:
   an array union-find per subset that stops at the first cycle;
-- the earlier canonical search and enumerators: ``canonical_by_columns``
+- the earlier canonical searches and enumerators: ``canonical_by_columns``
   builds every unplaced vertex's column bit by bit,
-  ``reps_by_invariant_filter`` extends a parent by every neighborhood that
-  passes the invariant filter (with that canonical search), and
-  ``reps_by_full_extension`` canonicalizes every one-vertex extension of
-  every parent.
+  ``canonical_with_automorphisms`` is the library's search before it
+  returned its canonical order (it relabels the graph and converts its
+  moves into permutations on every call), ``reps_by_invariant_filter``
+  extends a parent by every neighborhood that passes the invariant filter
+  (with the column search), and ``reps_by_full_extension`` canonicalizes
+  every one-vertex extension of every parent;
+- ``survey_by_two_profiles``, the survey loop before it reused a
+  representative's index profile for the complement in its class: two
+  profiles per co-connected class.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
+from monoindex import survey
 from monoindex.coloring import (
     _all_covered,
     _coverage_targets,
@@ -53,14 +59,16 @@ from monoindex.graphs import (
     BudgetError,
     Graph,
     Graph6Error,
-    _canonical,
     closed_neighborhood,
+    complement,
     connected_components,
     diameter,
     is_connected,
     iter_bits,
+    mask_from,
+    to_graph6,
 )
-from monoindex.mvx import MAX_TREE_SUBSETS, SpanningTreeResult
+from monoindex.mvx import MAX_TREE_SUBSETS, SpanningTreeResult, mvx_profile
 from monoindex.mx import _subtrees
 from monoindex.partitions import set_partitions_with_blocks
 
@@ -381,6 +389,74 @@ def mx_by_rgs_search(g, k: int):
     raise RuntimeError("unreachable: one color is always valid on a connected graph")
 
 
+def canonical_with_automorphisms(g: Graph) -> tuple[int, Graph, frozenset[tuple[int, ...]]]:
+    """(code, canonical graph, automorphisms of the canonical graph that the
+    search met on the way, each a tuple p sending vertex i to p[i]).
+
+    The library's canonical search before it returned its canonical order
+    and left converting moves to the enumerator: every call relabels the
+    graph and turns its moves into permutations."""
+    n = g.n
+    if n == 1:
+        return 0, g, frozenset()
+    adj = g.adj
+    full = (1 << n) - 1
+    # Orderings are grown one position at a time; the frontier holds every
+    # ordering prefix that still achieves the minimal bitstring.
+    frontier = [((v,), 1 << v) for v in range(n)]
+    code = 0
+    # each move pairs up p[i] and q[i] for two orders p, q over one vertex set
+    # with the same code and the same edges to the rest; p[i] -> q[i], fixing
+    # every other vertex, is an automorphism of g
+    moves = set()
+    for pos in range(1, n):
+        best = 1 << pos
+        ext = []
+        for order, placed in frontier:
+            # the least column over the unplaced vertices, bit by bit, and
+            # every vertex that has it
+            cand = full & ~placed
+            col = 0
+            for u in order:
+                zero = cand & ~adj[u]
+                if zero:
+                    cand = zero
+                    col <<= 1
+                else:
+                    col = col << 1 | 1
+            if col > best:
+                continue
+            if col < best:
+                best = col
+                ext = []
+            ext.extend((order + (v,), placed | 1 << v) for v in iter_bits(cand))
+        if len(ext) > n:
+            # Prefixes of highly symmetric graphs tie in droves; two prefixes
+            # over the same vertex set with identical edges to the unplaced
+            # vertices have identical futures, so keep one of each.
+            unique = {}
+            for order, placed in ext:
+                rest = full & ~placed
+                key = (placed, tuple(adj[u] & rest for u in order))
+                kept = unique.setdefault(key, (order, placed))[0]
+                if kept is not order:
+                    moves.add(frozenset(zip(order, kept)))
+            ext = list(unique.values())
+        frontier = ext
+        code = code << pos | best
+    order = frontier[0][0]
+    at = {u: i for i, u in enumerate(order)}
+    moves.update(frozenset(zip(other, order)) for other, _ in frontier[1:])
+    auts = set()
+    for move in moves:
+        perm = list(range(n))
+        for a, b in move:
+            perm[at[a]] = at[b]
+        auts.add(tuple(perm))
+    rows = tuple(mask_from(at[w] for w in iter_bits(adj[u])) for u in order)
+    return code, Graph(n, rows), frozenset(auts)
+
+
 def reps_by_full_extension(n: int, connected: bool) -> tuple[Graph, ...]:
     """Canonical representatives on n vertices in ascending canonical code.
 
@@ -400,7 +476,7 @@ def reps_by_full_extension(n: int, connected: bool) -> tuple[Graph, ...]:
             adj = tuple(
                 parent.adj[i] | ((mask >> i & 1) << (n - 1)) for i in range(n - 1)
             ) + (mask,)
-            code, canon = _canonical(Graph(n, adj))[:2]
+            code, canon = canonical_with_automorphisms(Graph(n, adj))[:2]
             if code not in found:
                 found[code] = canon
     return tuple(g for _, g in sorted(found.items()))
@@ -534,3 +610,29 @@ def max_leaf_by_array_union_find(g: Graph) -> SpanningTreeResult:
             best_leaves = leaves
             best_edges = combo
     return SpanningTreeResult(best_edges, best_leaves)
+
+
+def survey_by_two_profiles(n: int) -> list[survey.SurveyRecord]:
+    """The records of ``survey_bounds(n)`` from the index profile of every
+    co-connected graph and of its complement. The graphs come from
+    ``survey.enumerate_coconnected``, looked up at call time, so a test
+    that replaces it feeds this loop and the library the same graphs."""
+    records = []
+    for g in survey.enumerate_coconnected(n):
+        gbar = complement(g)
+        g6, g6bar = to_graph6(g), to_graph6(gbar)
+        vals_g, vals_gbar = mvx_profile(g), mvx_profile(gbar)
+        for k in range(3, n + 1):
+            a, b = vals_g[k - 2].value, vals_gbar[k - 2].value
+            lower = survey.expected_lower_bound(n, k) if n >= 5 else None
+            upper = 2 * n - 2 if survey.upper_bound_applies(n, k) else None
+            records.append(
+                survey.SurveyRecord(
+                    n=n, k=k, g6=g6, g6_complement=g6bar,
+                    mvx_g=a, mvx_gbar=b, sum=a + b,
+                    lower_bound=lower, upper_bound=upper,
+                    verdict=survey.SurveyRecord.grade(a + b, lower, upper),
+                )
+            )
+    records.sort(key=lambda r: (r.n, r.g6, r.k))
+    return records

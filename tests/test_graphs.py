@@ -264,8 +264,12 @@ class TestDiameter:
 class TestCanonicalForm:
     @staticmethod
     def check_against_oracle(g: Graph) -> None:
-        code, canon, auts = graphs._canonical(g)
+        code, order, moves = graphs._canonical(g.adj)
+        canon = graphs._relabel(g.adj, order)
+        auts = graphs._automorphisms(order, moves)
+        assert (code, canon, auts) == oracles.canonical_with_automorphisms(g), g.edges
         assert (code, canon) == oracles.canonical_by_columns(g), g.edges
+        assert (canonical_code(g), canonical_form(g)) == (code, canon), g.edges
         assert all(is_automorphism(canon, perm) for perm in auts), g.edges
 
     def test_matches_column_oracle_on_every_labelled_graph(self):
@@ -354,6 +358,30 @@ class TestEnumeration:
         # orbit pruning only skips candidates: same classes, same order, same labels
         for n in range(1, 8 if connected else 7):
             assert graphs._reps(n, connected) == oracles.reps_by_invariant_filter(n, connected)
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_classes_match_the_automorphism_search_oracle(self, monkeypatch, connected):
+        # the children each level canonicalizes, run through the search that
+        # relabeled and converted on every call, give the same representatives
+        # with the same automorphism sets; level by level, so every level's
+        # children and canonical calls are those of that search's enumerator
+        children = []
+        canonical = graphs._canonical
+
+        def spy(adj):
+            children.append(adj)
+            return canonical(adj)
+
+        monkeypatch.setattr(graphs, "_canonical", spy)
+        graphs._classes.cache_clear()
+        for n in range(2, 8):
+            children.clear()
+            got = graphs._classes(n, connected)
+            want: dict[int, tuple[Graph, set]] = {}
+            for adj in children:
+                code, canon, auts = oracles.canonical_with_automorphisms(Graph(n, adj))
+                want.setdefault(code, (canon, set()))[1].update(auts)
+            assert got == tuple((g, frozenset(a)) for _, (g, a) in sorted(want.items())), n
 
     @pytest.mark.parametrize("connected", [True, False])
     def test_pruning_permutations_are_automorphisms(self, connected):

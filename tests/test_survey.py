@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from monoindex import survey
 from monoindex.graphs import (
     canonical_code,
     canonical_form,
@@ -9,11 +10,12 @@ from monoindex.graphs import (
     cycle_graph,
     diameter,
     enumerate_connected_graphs,
+    from_edges,
     is_connected,
     path_graph,
     to_graph6,
 )
-from monoindex.mvx import connected_domination_number, mvx_exact
+from monoindex.mvx import connected_domination_number, mvx_exact, mvx_profile
 from monoindex.survey import (
     SurveyRecord,
     build_near_complete_bipartite,
@@ -24,6 +26,8 @@ from monoindex.survey import (
     upper_bound_applies,
     write_survey_csv,
 )
+
+import oracles
 
 
 class TestCoconnected:
@@ -122,6 +126,38 @@ class TestSurvey:
 
         with pytest.raises(BudgetError):
             survey_bounds(8)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_matches_two_profile_oracle(self, n):
+        assert survey_bounds(n) == oracles.survey_by_two_profiles(n)
+
+    def test_one_index_profile_per_class(self, monkeypatch):
+        # every n = 7 complement is named by its invariant; the two-profile
+        # loop made 1,324 calls
+        calls = [0]
+
+        def counted(g):
+            calls[0] += 1
+            return mvx_profile(g)
+
+        monkeypatch.setattr(survey, "mvx_profile", counted)
+        survey_bounds(7)
+        assert calls[0] == 662
+
+    def test_shared_invariant_falls_back_to_own_profile(self, monkeypatch):
+        # the cube Q3 and the Wagner graph are both 3-regular and triangle-free
+        # on 8 vertices, so their invariants agree, yet their profiles differ;
+        # reusing either one's values for the other's complement is wrong
+        cube = from_edges(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+        wagner = from_edges(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+        assert survey._invariant_hash(cube) == survey._invariant_hash(wagner)
+        assert [r.value for r in mvx_profile(cube)] == [6, 5, 5, 5, 5, 5, 5]
+        assert [r.value for r in mvx_profile(wagner)] == [8, 6, 6, 6, 6, 6, 6]
+        graphs = [canonical_form(g) for g in (cube, wagner, complement(cube), complement(wagner))]
+        monkeypatch.setattr(survey, "enumerate_coconnected", lambda n: iter(graphs))
+        records = survey_bounds(8, include_n8=True)
+        assert len(records) == 4 * 6
+        assert records == oracles.survey_by_two_profiles(8)
 
     def test_pair_identity_n6(self):
         # for co-connected pairs the k=n sum equals 2n+2 minus the
