@@ -23,6 +23,7 @@ from .coloring import (
     write_coloring_certificate,
 )
 from .graphs import (
+    GRAPH6_MAX_VERTICES,
     BudgetError,
     Graph,
     Graph6Error,
@@ -61,8 +62,7 @@ def _load_graph(source: str) -> Graph:
 def _print_with_witness(args: argparse.Namespace, value: int, witness) -> None:
     """Write the witness certificate, if one was asked for, then print the value.
 
-    The certificate text is built and written first, so a witness that cannot
-    be serialized or written fails the command before anything is printed.
+    The certificate is written first, so a failed write prints nothing.
     """
     if args.witness:
         text = write_coloring_certificate(witness)
@@ -71,8 +71,15 @@ def _print_with_witness(args: argparse.Namespace, value: int, witness) -> None:
     print(value)
 
 
+def _check_witness(args: argparse.Namespace, g: Graph) -> None:
+    """A certificate names its graph in graph6: refuse one before the search."""
+    if args.witness and g.n > GRAPH6_MAX_VERTICES:
+        raise Graph6Error(f"--witness: graph6 handles n <= {GRAPH6_MAX_VERTICES}, got n={g.n}")
+
+
 def _cmd_mx(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
+    _check_witness(args, g)
     k = args.k
     if args.exact or k == 2:
         if not args.exact:
@@ -93,10 +100,8 @@ def _cmd_mvx(args: argparse.Namespace) -> int:
         _check_index_args(g, k)
         print(diameter_upper_bound(g))
         return 0
-    if args.cut_vertex:
-        result = mvx_via_cut_vertex(g, k)
-    else:
-        result = mvx_exact(g, k)
+    _check_witness(args, g)
+    result = (mvx_via_cut_vertex if args.cut_vertex else mvx_exact)(g, k)
     _print_with_witness(args, result.value, result.witness)
     return 0
 

@@ -367,37 +367,21 @@ def verify_mvx_coloring(vc: VertexColoring, k: int) -> bool:
 def normalize_to_forest(ec: EdgeColoring, k: int) -> EdgeColoring:
     """Recolor until every color class is a tree, preserving validity.
 
-    Within each class a Kruskal pass keeps a spanning forest: an edge closing
-    a cycle is always the highest-indexed edge of that cycle, and it moves to
-    a fresh color of its own. Forest components beyond the one holding the
-    lowest-indexed edge each move to a fresh color as well. Neither step
-    changes any component's vertex set, so validity survives, and the pass is
-    idempotent on its own output.
+    A Kruskal pass in edge order splits each class into its forest's
+    components and frees each edge that closes a cycle, the highest-indexed
+    on it, as a one-edge class; no component's vertex set changes. The output
+    is renumbered by first appearance, so this partition of the edges alone
+    decides it, and the pass is idempotent on its own output.
     """
-    g = ec.graph
     if not verify_mx_coloring(ec, k):
         raise ValueError(f"input coloring is not valid at k={k}")
-    colors = list(ec.colors)
-    next_color = max(colors) + 1
-    by_color: dict[int, list[int]] = {}
-    for idx, c in enumerate(ec.colors):
-        by_color.setdefault(c, []).append(idx)
-    for c in sorted(by_color):
-        idxs = by_color[c]
-        kept, comps = edge_forest(g.edges[idx] for idx in idxs)
-        groups: dict[int, list[int]] = {}
-        for idx, tree_edge in zip(idxs, kept):
-            if not tree_edge:
-                colors[idx] = next_color  # closes a cycle
-                next_color += 1
-                continue
-            u = g.edges[idx][0]
-            groups.setdefault(next(comp for comp in comps if comp >> u & 1), []).append(idx)
-        for _, group in sorted((min(grp), grp) for grp in groups.values())[1:]:
-            for idx in group:
-                colors[idx] = next_color
-            next_color += 1
-    out = EdgeColoring(g, tuple(colors)).renumbered()
+    # tree edge: (color, component mask); cycle edge: (None, edge), no color being None
+    key = {}
+    for cc in color_classes(ec):
+        kept, comps = edge_forest(cc.edges)
+        for e, tree_edge in zip(cc.edges, kept):
+            key[e] = (cc.color, next(c for c in comps if c >> e[0] & 1)) if tree_edge else (None, e)
+    out = EdgeColoring(ec.graph, _renumber(tuple(key[e] for e in ec.graph.edges)))
     if not verify_mx_coloring(out, k):
         raise RuntimeError("normalization broke the coloring; this is a bug")
     return out

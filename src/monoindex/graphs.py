@@ -79,10 +79,6 @@ class Graph:
             (i, j) for i in range(self.n) for j in iter_bits(self.adj[i] >> (i + 1) << (i + 1))
         )
 
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1

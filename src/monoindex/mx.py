@@ -2,9 +2,10 @@
 
 For any connected graph and any k >= 3 the maximum number of colors in a
 valid edge coloring is m - n + 2, witnessed by coloring a spanning tree
-with one color and every leftover edge with a fresh one. The exact search
-below is the independent check of that closed form (and the only exact
-route for k = 2, where the closed form does not apply and mx_2 = mc).
+with one color and every leftover edge with a fresh one. Simplification
+merges color trees that overlap in two or more vertices, then normalizes.
+The exact search below is the independent check of that closed form (and
+the only exact route for k = 2, where mx_2 = mc).
 
 The exact search is ``coloring._least_excess`` over the edges.
 ``normalize_to_forest`` shows that some optimal coloring has only tree
@@ -12,7 +13,7 @@ classes. A one-edge class holds only its own adjacent pair, which no target
 needs: adjacent pairs are dropped at k = 2, and a k-set with k >= 3 does
 not fit in two vertices. So the blocks are the subtrees with two or more
 edges, each covering its vertex set; a spanning tree, of excess n - 2,
-holds every k-set.
+holds every k-set. Their count, not m, sets the cost, and the budget.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from .coloring import (
     _least_excess,
     _target_bits,
     color_classes,
+    normalize_to_forest,
     verify_mx_coloring,
 )
-from .graphs import BudgetError, Graph, bfs_tree, edge_forest, is_connected
+from .graphs import BudgetError, Graph, bfs_tree, is_connected
 
-MAX_BRUTEFORCE_EDGES = 15
+MAX_SUBTREES = 500_000  # K8 has 441,176 subtrees of two or more edges, K9 more
 
 
 @dataclass(frozen=True)
@@ -79,45 +81,30 @@ def simplify_coloring(ec: EdgeColoring, k: int) -> EdgeColoring:
     """Merge overlapping nontrivial color trees until the coloring is simple.
 
     Simple means any two color classes with >= 2 edges share at most one
-    vertex. Whenever classes c and d share p >= 2 vertices, their union H is
-    connected with |V(H)| - 1 + (p - 1) edges: a spanning tree of H keeps
-    color c and the p - 1 leftover edges get fresh colors. Each pass raises
-    (num_colors, trivial-color count) lexicographically, so this terminates,
-    and it never uses fewer colors than the input.
+    vertex. Groups of classes whose vertex sets share two or more vertices
+    merge, in any order (masks only grow), and take one color, which only
+    grows monochromatic components. ``normalize_to_forest`` keeps each
+    group's Kruskal tree, the one pairwise merging reaches as
+    MSF(A | B) = MSF(MSF(A) | B) under edge-index weights, and frees the rest
+    as one-edge classes: t trees free at least t - 1, so no color is lost.
     """
-    g = ec.graph
     if not verify_mx_coloring(ec, k):
         raise ValueError(f"input coloring is not valid at k={k}")
     if any(not cc.is_tree for cc in color_classes(ec)):
         raise ValueError("simplification expects tree classes; run normalize_to_forest first")
-    colors = list(ec.colors)
-    next_color = max(colors) + 1
-    while True:
-        classes = [cc for cc in color_classes(EdgeColoring(g, tuple(colors))) if not cc.trivial]
-        pair = None
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                if (classes[i].vertices & classes[j].vertices).bit_count() >= 2:
-                    pair = (classes[i], classes[j])
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        keep = pair[0]
-        union_idxs = sorted(g.edge_index[e] for cc in pair for e in cc.edges)
-        # Kruskal over the union: tree edges take color c, the rest fresh ones
-        kept, _ = edge_forest(g.edges[idx] for idx in union_idxs)
-        for idx, tree_edge in zip(union_idxs, kept):
-            if tree_edge:
-                colors[idx] = keep.color
-            else:
-                colors[idx] = next_color
-                next_color += 1
-    out = EdgeColoring(g, tuple(colors)).renumbered()
-    if not verify_mx_coloring(out, k):
-        raise RuntimeError("simplification broke the coloring; this is a bug")
-    return out
+    groups: list[tuple[int, list[int]]] = []  # (vertex mask, colors), pairwise overlap <= 1
+    for cc in color_classes(ec):
+        if cc.trivial:
+            continue
+        mask, colors = cc.vertices, [cc.color]
+        while overlap := [grp for grp in groups if (grp[0] & mask).bit_count() >= 2]:
+            for grp in overlap:
+                groups.remove(grp)
+                mask |= grp[0]
+                colors += grp[1]
+        groups.append((mask, colors))
+    to = {c: colors[0] for _, colors in groups for c in colors}
+    return normalize_to_forest(EdgeColoring(ec.graph, tuple(to.get(c, c) for c in ec.colors)), k)
 
 
 def _subtrees(g: Graph) -> dict[int, int]:
@@ -137,6 +124,8 @@ def _subtrees(g: Graph) -> dict[int, int]:
         emask, vmask, boundary, banned = stack.pop()
         if emask & emask - 1:
             out[emask] = vmask
+            if len(out) > MAX_SUBTREES:
+                raise BudgetError(f"subtree search exceeds the budget of {MAX_SUBTREES} subtrees")
         free = boundary & ~banned
         while free:
             f = free & -free
@@ -152,13 +141,14 @@ def mx_exact_bruteforce(g: Graph, k: int) -> MxResult:
     the least total excess of edge-disjoint subtrees that hold every target
     (module docstring), found by ``coloring._least_excess``. The search is
     exact, not brute force; the name stays for the API and perfbench's
-    tracer. Refuses more than MAX_BRUTEFORCE_EDGES edges or
-    MAX_KERNEL_VERTICES vertices before any table or subtree list is built.
+    tracer. Refuses more than MAX_KERNEL_VERTICES vertices, and then more
+    than MAX_SUBTREES subtrees, before any table is built.
     """
     _check_index_args(g, k)
-    for size, cap, noun in ((g.n, MAX_KERNEL_VERTICES, "vertices"), (g.m, MAX_BRUTEFORCE_EDGES, "edges")):
-        if size > cap:
-            raise BudgetError(f"subtree search over {size} {noun} exceeds the budget of {cap}")
+    if g.n > MAX_KERNEL_VERTICES:
+        raise BudgetError(
+            f"subtree search over {g.n} vertices exceeds the budget of {MAX_KERNEL_VERTICES}"
+        )
     trees = _subtrees(g)
     levels: list[list[int]] = [[] for _ in range(g.m)]  # levels[x]: the trees of excess x
     for tree in trees:

@@ -35,7 +35,11 @@ against:
   every one-vertex extension of every parent;
 - ``survey_by_two_profiles``, the survey loop before it reused a
   representative's index profile for the complement in its class: two
-  profiles per co-connected class.
+  profiles per co-connected class;
+- ``normalize_by_fresh_colors`` and ``simplify_by_pairs``, the two edge
+  recolorings before simplification became normalization of merged
+  classes: each gives every edge it frees a fresh color id, and
+  simplification runs one Kruskal pass per overlapping pair of trees.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from math import comb
 
 from monoindex import survey
 from monoindex.coloring import (
+    EdgeColoring,
     _all_covered,
     _coverage_targets,
     _down_sets,
@@ -52,6 +57,8 @@ from monoindex.coloring import (
     _renumber,
     _target_bits,
     _vertex_covers,
+    color_classes,
+    verify_mx_coloring,
 )
 from monoindex.graphs import (
     ENUMERATION_MAX_VERTICES,
@@ -63,6 +70,7 @@ from monoindex.graphs import (
     complement,
     connected_components,
     diameter,
+    edge_forest,
     is_connected,
     iter_bits,
     mask_from,
@@ -636,3 +644,73 @@ def survey_by_two_profiles(n: int) -> list[survey.SurveyRecord]:
             )
     records.sort(key=lambda r: (r.n, r.g6, r.k))
     return records
+
+
+def normalize_by_fresh_colors(ec: EdgeColoring, k: int) -> EdgeColoring:
+    """Every color class made a tree: within each class, by ascending color,
+    a Kruskal pass in edge order moves each edge that closes a cycle to a
+    fresh color, and every forest component but the one holding the
+    lowest-indexed edge to a fresh color too; then the colors are renumbered."""
+    g = ec.graph
+    if not verify_mx_coloring(ec, k):
+        raise ValueError(f"input coloring is not valid at k={k}")
+    colors = list(ec.colors)
+    next_color = max(colors) + 1
+    by_color: dict[int, list[int]] = {}
+    for idx, c in enumerate(ec.colors):
+        by_color.setdefault(c, []).append(idx)
+    for c in sorted(by_color):
+        idxs = by_color[c]
+        kept, comps = edge_forest(g.edges[idx] for idx in idxs)
+        groups: dict[int, list[int]] = {}
+        for idx, tree_edge in zip(idxs, kept):
+            if not tree_edge:
+                colors[idx] = next_color
+                next_color += 1
+                continue
+            u = g.edges[idx][0]
+            groups.setdefault(next(comp for comp in comps if comp >> u & 1), []).append(idx)
+        for _, group in sorted((min(grp), grp) for grp in groups.values())[1:]:
+            for idx in group:
+                colors[idx] = next_color
+            next_color += 1
+    out = EdgeColoring(g, tuple(colors)).renumbered()
+    if not verify_mx_coloring(out, k):
+        raise RuntimeError("normalization broke the coloring; this is a bug")
+    return out
+
+
+def simplify_by_pairs(ec: EdgeColoring, k: int) -> EdgeColoring:
+    """Tree classes merged pair by pair: while two nontrivial classes share
+    two or more vertices, a Kruskal pass in edge order over their union keeps
+    a spanning tree in the first class's color and gives every other edge a
+    fresh color; then the colors are renumbered."""
+    g = ec.graph
+    if not verify_mx_coloring(ec, k):
+        raise ValueError(f"input coloring is not valid at k={k}")
+    if any(not cc.is_tree for cc in color_classes(ec)):
+        raise ValueError("simplification expects tree classes; run normalize_to_forest first")
+    index = {e: i for i, e in enumerate(g.edges)}
+    colors = list(ec.colors)
+    next_color = max(colors) + 1
+    while True:
+        classes = [cc for cc in color_classes(EdgeColoring(g, tuple(colors))) if not cc.trivial]
+        pair = next(
+            ((a, b) for i, a in enumerate(classes) for b in classes[i + 1:]
+             if (a.vertices & b.vertices).bit_count() >= 2),
+            None,
+        )
+        if pair is None:
+            break
+        union_idxs = sorted(index[e] for cc in pair for e in cc.edges)
+        kept, _ = edge_forest(g.edges[idx] for idx in union_idxs)
+        for idx, tree_edge in zip(union_idxs, kept):
+            if tree_edge:
+                colors[idx] = pair[0].color
+            else:
+                colors[idx] = next_color
+                next_color += 1
+    out = EdgeColoring(g, tuple(colors)).renumbered()
+    if not verify_mx_coloring(out, k):
+        raise RuntimeError("simplification broke the coloring; this is a bug")
+    return out

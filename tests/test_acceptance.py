@@ -43,7 +43,7 @@ from monoindex.mvx import (
     mvx_profile,
     mvx_via_cut_vertex,
 )
-from monoindex.mx import MAX_BRUTEFORCE_EDGES, construct_extremal_mx, mx_exact_bruteforce
+from monoindex.mx import construct_extremal_mx, mx_exact_bruteforce
 from monoindex.reduction import build_gadget, decide_ds_via_mvx, dominating_number
 from monoindex.survey import (
     build_near_complete_bipartite,
@@ -344,30 +344,26 @@ def test_c11_property_suites():
 
 
 def test_c12_main_theorem_exhaustive():
-    # mx_3 = m - n + 2 on every connected graph with n <= 6, and at n = 7 on
-    # every one within the search's edge budget. Validity at k + 1 implies
-    # validity at k, and the spanning-tree witness is valid at every k, so
-    # this settles every k >= 3.
+    # mx_3 = m - n + 2 on every connected graph with n <= 7. Validity at
+    # k + 1 implies validity at k, and the spanning-tree witness is valid at
+    # every k, so this settles every k >= 3.
     checked = 0
     for n in range(3, 7):
         for g in enumerate_connected_graphs(n):
             assert mx_exact_bruteforce(g, 3).value == g.m - g.n + 2, (n, g.edges)
             checked += 1
-    seven = skipped = 0
+    seven = 0
     for g in enumerate_connected_graphs(7):
-        if g.m > MAX_BRUTEFORCE_EDGES:
-            skipped += 1
-            continue
         assert mx_exact_bruteforce(g, 3).value == g.m - g.n + 2, (7, g.edges)
         seven += 1
-    assert (seven, skipped) == (813, 40)
+    assert seven == 853
     # k = 2 is outside the theorem: mc = mx_2 exceeds m - n + 2 on 23 of the
     # 112 connected six-vertex graphs
     six = list(enumerate_connected_graphs(6))
     above = [g for g in six if mx_exact_bruteforce(g, 2).value > g.m - g.n + 2]
     assert (len(six), len(above)) == (112, 23)
     report(12, f"edge index equals m-n+2 at every k >= 3 on all connected n<=6 "
-               f"({checked} graphs) and on {seven} of 853 at n=7 (m <= {MAX_BRUTEFORCE_EDGES}); "
+               f"({checked} graphs) and on all {seven} at n=7; "
                f"mx_2 exceeds it on 23 of 112 at n=6")
 
 

@@ -227,6 +227,31 @@ class TestErrors:
         assert code == 2 and out == "" and err.startswith("error:")
         assert not witness.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("mx", "--k", "3"), ("mx", "--k", "2", "--exact"), ("mvx", "--k", "2", "--cut-vertex")],
+    )
+    def test_witness_beyond_graph6_exits_2_before_the_search(self, capsys, tmp_path, argv):
+        # the cut-vertex search alone takes seconds on P1500; graph6 ends at 62
+        graph = tmp_path / "p1500.txt"
+        graph.write_text(to_edge_list(path_graph(1500)))
+        witness = tmp_path / "witness.txt"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--graph", str(graph), "--witness", str(witness))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err.startswith("error: --witness") and "62" in err
+        assert not witness.exists()
+
+    def test_bound_ignores_witness(self, capsys, tmp_path):
+        # --bound writes no certificate, so a graph graph6 cannot hold is fine
+        graph = tmp_path / "p70.txt"
+        graph.write_text(to_edge_list(path_graph(70)))
+        witness = tmp_path / "witness.txt"
+        code, out, _ = run_cli(
+            capsys, "mvx", "--graph", str(graph), "--k", "3", "--bound", "--witness", str(witness)
+        )
+        assert (code, out) == (0, "3\n") and not witness.exists()
+
     @pytest.mark.parametrize("k", ["1", "5", "99"])
     def test_mvx_bound_k_out_of_range(self, capsys, k):
         # Ch has 4 vertices; the bound route checks k like every other route

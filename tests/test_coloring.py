@@ -41,7 +41,7 @@ def spanning_path_coloring_c5() -> EdgeColoring:
     # 4-edge spanning path of C5 in color 0, the leftover edge in color 1
     c5 = cycle_graph(5)
     colors = [0] * 5
-    colors[c5.edge_index[(0, 4)]] = 1
+    colors[c5.edges.index((0, 4))] = 1
     return EdgeColoring(c5, tuple(colors))
 
 

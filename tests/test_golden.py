@@ -14,8 +14,12 @@ values.
 """
 
 import hashlib
+import importlib
+import pkgutil
+import re
 from pathlib import Path
 
+import monoindex
 from monoindex.cli import main
 from monoindex.graphs import enumerate_connected_graphs, to_graph6
 from monoindex.mvx import mvx_profile
@@ -89,6 +93,22 @@ def test_readme_library_block(capsys):
     exec(block, scope)
     assert capsys.readouterr().out == "8\n"
     assert scope["result"].value == 7
+
+
+def test_readme_names_every_budget():
+    # the "Search budgets" paragraph names every module-level cap (a constant
+    # with MAX_ in its name), and every constant it names exists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("\nSearch budgets ", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", paragraph))
+    constants = {
+        name
+        for info in pkgutil.iter_modules(monoindex.__path__)
+        for name in vars(importlib.import_module(f"monoindex.{info.name}"))
+        if re.fullmatch(r"[A-Z][A-Z0-9_]+", name)
+    }
+    assert {name for name in constants if "MAX_" in name} <= named
+    assert named <= constants
 
 
 def test_enumerate_stdout(capsys, tmp_path):

@@ -9,6 +9,7 @@ from monoindex.coloring import (
     MAX_KERNEL_VERTICES,
     EdgeColoring,
     color_classes,
+    normalize_to_forest,
     verify_mx_coloring,
 )
 from monoindex.graphs import (
@@ -120,6 +121,48 @@ class TestSimplify:
             simplify_coloring(EdgeColoring(c4, (0, 0, 0, 0)), 3)
 
 
+class TestAgainstFreshColorRecolorings:
+    """``normalize_to_forest`` and ``simplify_coloring`` against the
+    recolorings they replaced, kept as ``oracles.normalize_by_fresh_colors``
+    and ``oracles.simplify_by_pairs``."""
+
+    @staticmethod
+    def valid_colorings(g, rng):
+        # random partitions kept when valid at a random k, then a witness of
+        # the exact search with pairs of its colors merged, valid at its k
+        for _ in range(6):
+            k, c = rng.randint(2, g.n), rng.randint(1, max(1, g.m // 2))
+            ec = EdgeColoring(g, tuple(rng.randrange(c) for _ in range(g.m)))
+            if verify_mx_coloring(ec, k):
+                yield ec, k
+        k = rng.randint(2, g.n)
+        ec = mx_exact_bruteforce(g, k).witness
+        for _ in range(3):
+            if ec.num_colors < 2:
+                break
+            ec = ec.merged(*rng.sample(sorted(set(ec.colors)), 2))
+            yield ec, k
+
+    def test_same_colors_on_seeded_colorings(self):
+        # every connected graph with n <= 6 and a sample of 40 at n = 7
+        graphs = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+        graphs += random.Random(7).sample(list(enumerate_connected_graphs(7)), 40)
+        cases = normalized = simplified = 0
+        for g in graphs:
+            for ec, k in self.valid_colorings(g, random.Random(str(g.edges))):
+                forest = normalize_to_forest(ec, k)
+                assert forest.colors == oracles.normalize_by_fresh_colors(ec, k).colors, (
+                    g.edges, ec.colors, k)
+                simple = simplify_coloring(forest, k)
+                assert simple.colors == oracles.simplify_by_pairs(forest, k).colors, (
+                    g.edges, forest.colors, k)
+                assert is_simple(simple) and simple.num_colors >= forest.num_colors
+                cases += 1
+                normalized += forest.colors != ec.renumbered().colors
+                simplified += simple.colors != forest.colors
+        assert (cases, normalized, simplified) == (951, 782, 290)
+
+
 class TestBruteforce:
     def test_examples(self):
         assert mx_exact_bruteforce(cycle_graph(5), 3).value == 2
@@ -139,9 +182,10 @@ class TestBruteforce:
                     assert mx_exact_bruteforce(g, k).value == mx_k_formula(g, k)
 
     def test_budget(self):
-        # K7 has 21 edges, over MAX_BRUTEFORCE_EDGES (15)
-        with pytest.raises(BudgetError, match="21 edges"):
-            mx_exact_bruteforce(complete_graph(7), 3)
+        # K9 has more subtrees than MAX_SUBTREES (500,000); K7 has 29,169
+        with pytest.raises(BudgetError, match="budget of 500000 subtrees"):
+            mx_exact_bruteforce(complete_graph(9), 3)
+        assert mx_exact_bruteforce(complete_graph(7), 3).value == 16
 
     def test_complete_graph_mc(self):
         # every pair is adjacent, so all-distinct is fine at k=2

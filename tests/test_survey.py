@@ -3,6 +3,8 @@ import io
 import pytest
 
 from monoindex import survey
+from monoindex.cli import main
+from monoindex.coloring import VertexColoring, verify_mvx_coloring, write_coloring_certificate
 from monoindex.graphs import (
     canonical_code,
     canonical_form,
@@ -10,6 +12,7 @@ from monoindex.graphs import (
     cycle_graph,
     diameter,
     enumerate_connected_graphs,
+    from_edges,
     from_edges,
     is_connected,
     path_graph,
@@ -214,3 +217,42 @@ class TestLocateF1:
             gbar = complement(g)
             for k in range(3, 7):
                 assert mvx_exact(g, k).value + mvx_exact(gbar, k).value == 8
+
+
+def paley_graph(q: int):
+    """Vertices Z_q, q a prime with q = 1 mod 4; u and v are adjacent when
+    v - u is a nonzero square mod q. The graph is self-complementary."""
+    squares = {x * x % q for x in range(1, q)}
+    return from_edges(
+        q, [(u, v) for u in range(q) for v in range(u + 1, q) if (v - u) % q in squares]
+    )
+
+
+class TestUpperBoundBelowItsThreshold:
+    """The paper claims mvx_k(G) + mvx_k(complement) <= 2n - 2 only for
+    k >= ceil(n/2), which is 7 at n = 13. Paley(13) exceeds it at k = 3:
+    every 3-set lies in one closed neighbourhood on both sides, so the
+    all-distinct coloring is valid and mvx_3 = n = 13 on each, a sum of
+    26 > 24."""
+
+    def pair(self):
+        g = paley_graph(13)
+        assert [v for v in range(13) if g.has_edge(0, v)] == [1, 3, 4, 9, 10, 12]
+        return g, complement(g)
+
+    def test_paley13_is_self_complementary_and_exceeds_at_k3(self):
+        g, gbar = self.pair()
+        assert canonical_code(g) == canonical_code(gbar)
+        assert not upper_bound_applies(13, 3) and upper_bound_applies(13, 7)
+        for h in (g, gbar):
+            distinct = VertexColoring(h, tuple(range(13)))
+            assert verify_mvx_coloring(distinct, 3)
+            assert not verify_mvx_coloring(distinct, 4)
+
+    def test_paley13_certificates_through_verify(self, tmp_path, capsys):
+        for side, h in zip(("g", "gbar"), self.pair()):
+            cert = tmp_path / f"{side}.txt"
+            cert.write_text(write_coloring_certificate(VertexColoring(h, tuple(range(13)))))
+            for k, code, verdict in ((3, 0, "valid"), (4, 1, "invalid")):
+                assert main(["verify", "--coloring", str(cert), "--k", str(k)]) == code
+                assert capsys.readouterr().out == verdict + "\n"
