@@ -1,9 +1,12 @@
 """Command-line front end: one binary, one subcommand per operation family.
 
 Exit codes: 0 on success, 1 when a verification fails (a certificate that
-does not check out), 2 on usage or parse errors. Graph inputs may be a file
-path or an inline graph6 string; file contents starting with a digit are
-read as the edge-list format, anything else as graph6.
+does not check out, or a survey record outside its bounds), 2 on usage or
+parse errors. Graph inputs may be a file path or an inline graph6 string;
+file contents starting with a digit are read as the edge-list format,
+anything else as graph6. Each output has one route: the survey CSV goes to
+stdout, and the files are ``--witness``, ``reduce --certificates`` and
+``gadget --out``, each written before anything is printed.
 """
 
 from __future__ import annotations
@@ -109,9 +112,6 @@ def _cmd_mvx(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     answer = decide_ds_via_mvx(g, args.k)
-    if args.emit_gadget:
-        with open(args.emit_gadget, "w") as fh:
-            fh.write(to_graph6(build_gadget(g)) + "\n")
     if args.certificates:
         dom = minimum_dominating_set(g)
         with open(args.certificates, "w") as fh:
@@ -153,8 +153,8 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     if args.find_f1:
         if args.n != 6:
             raise ValueError(f"--find-f1 searches six-vertex graphs; needs --n 6, got --n {args.n}")
-        if args.csv or args.k is not None:
-            raise ValueError("--find-f1 prints graph6 lines; it takes neither --csv nor --k")
+        if args.k is not None:
+            raise ValueError("--find-f1 prints graph6 lines; it takes no --k")
         found = locate_F1()
         print(f"candidates: {len(found)}", file=sys.stderr)
         for g in found:
@@ -170,9 +170,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     records = survey_bounds(args.n, include_n8=args.include_n8)
     if args.k is not None:
         records = [r for r in records if r.k == args.k]
-    write_survey_csv(records, args.csv or sys.stdout)
-    if args.csv:
-        print(f"wrote {len(records)} records to {args.csv}")
+    write_survey_csv(records, sys.stdout)
     sys.stderr.write(_survey_summary(args.n, records))
     return 1 if any(r.verdict == "fail" for r in records) else 0
 
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True, help="dominating-set size threshold K")
-    p.add_argument("--emit-gadget", help="write the gadget graph6 here")
     p.add_argument("--certificates", help="write dominating/lifted certificates here")
 
     p = sub.add_parser("gadget", help="print the reduction gadget and its vertex map")
@@ -242,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_survey)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="restrict records to one k")
-    p.add_argument("--csv", help="write records here instead of stdout")
     p.add_argument("--find-f1", action="store_true", help="print the located extremal pair")
     p.add_argument("--include-n8", action="store_true", help="allow the slow n=8 survey")
 

@@ -18,6 +18,8 @@ ENUMERATION_MAX_VERTICES = 8
 # largest n an edge-list header may announce; rows are n-bit ints, so a
 # larger n costs memory and time before any edge is read
 EDGE_LIST_MAX_VERTICES = 10_000
+# cut_vertices and diameter walk once from each vertex, about n^3 bit operations
+MAX_WALK_VERTICES = 1_000
 
 
 class Graph6Error(ValueError):
@@ -213,6 +215,8 @@ def bfs_tree(g: Graph, root: int, within: int | None = None) -> list[tuple[int, 
 
 def cut_vertices(g: Graph) -> int:
     """Mask of the vertices whose removal disconnects g."""
+    if g.n > MAX_WALK_VERTICES:
+        raise BudgetError(f"walks from {g.n} vertices exceed the budget of {MAX_WALK_VERTICES}")
     if not is_connected(g):
         raise ValueError("cut vertices are only computed for connected graphs")
     full = g.full_mask
@@ -223,6 +227,8 @@ def cut_vertices(g: Graph) -> int:
 
 def diameter(g: Graph) -> int:
     """Largest shortest-path distance over all vertex pairs."""
+    if g.n > MAX_WALK_VERTICES:
+        raise BudgetError(f"walks from {g.n} vertices exceed the budget of {MAX_WALK_VERTICES}")
     if not is_connected(g):
         raise ValueError("diameter is only defined for connected graphs")
     best = 0

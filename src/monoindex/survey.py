@@ -9,14 +9,14 @@ grades the sum against two families of bounds:
   upper: 2n - 2, claimed only for k >= ceil(n/2) and n >= 5. For smaller k
          the sum is recorded as an observation, never graded.
 
-Rows are sorted by (n, g6, k) and the CSV schema is fixed, so outputs are
-reproducible byte for byte.
+Each record is one CSV row, its fields the columns in order. Rows are sorted
+by (n, g6, k), so outputs are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     ENUMERATION_MAX_VERTICES,
@@ -30,15 +30,10 @@ from .graphs import (
 )
 from .mvx import _mod4_threshold, connected_domination_number, mvx_profile
 
-CSV_COLUMNS = (
-    "n", "k", "g6", "g6_complement", "mvx_g", "mvx_gbar",
-    "sum", "lower_bound", "upper_bound", "verdict",
-)
 DEFAULT_SURVEY_CEILING = 7
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
     n: int
     k: int
     g6: str
@@ -57,6 +52,9 @@ class SurveyRecord:
         if upper is not None and total > upper:
             return "fail"
         return "pass"
+
+
+CSV_COLUMNS = SurveyRecord._fields
 
 
 def enumerate_coconnected(n: int):
@@ -144,42 +142,28 @@ def survey_bounds(n: int, include_n8: bool = False) -> list[SurveyRecord]:
         raise ValueError(f"survey covers 4 <= n <= {ENUMERATION_MAX_VERTICES}, got n={n}")
     if n > DEFAULT_SURVEY_CEILING and not include_n8:
         raise BudgetError("n = 8 takes about 8 s; pass --include-n8")
+    bounds = [(k, expected_lower_bound(n, k) if n >= 5 else None,
+               2 * n - 2 if upper_bound_applies(n, k) else None) for k in range(3, n + 1)]
     records = []
     for g, vals_g, gbar, vals_gbar in _complement_pairs(n):
         g6, g6bar = to_graph6(g), to_graph6(gbar)
-        for k in range(3, n + 1):
+        for k, lower, upper in bounds:
             a, b = vals_g[k - 2], vals_gbar[k - 2]
-            lower = expected_lower_bound(n, k) if n >= 5 else None
-            upper = 2 * n - 2 if upper_bound_applies(n, k) else None
-            records.append(
-                SurveyRecord(
-                    n=n, k=k, g6=g6, g6_complement=g6bar,
-                    mvx_g=a, mvx_gbar=b, sum=a + b,
-                    lower_bound=lower, upper_bound=upper,
-                    verdict=SurveyRecord.grade(a + b, lower, upper),
-                )
-            )
+            records.append(SurveyRecord(n, k, g6, g6bar, a, b, a + b, lower, upper,
+                                        SurveyRecord.grade(a + b, lower, upper)))
     records.sort(key=lambda r: (r.n, r.g6, r.k))
     return records
 
 
 def write_survey_csv(records, out) -> None:
-    """Write records to a file object or path, fixed schema, ``na`` for absent."""
-    if isinstance(out, str):
-        with open(out, "w", newline="") as fh:
-            write_survey_csv(records, fh)
-        return
+    """Write the header, then one row per record, to a file object; an absent
+    bound is written as ``na``."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.n, r.k, r.g6, r.g6_complement, r.mvx_g, r.mvx_gbar, r.sum,
-                "na" if r.lower_bound is None else r.lower_bound,
-                "na" if r.upper_bound is None else r.upper_bound,
-                r.verdict,
-            ]
-        )
+    writer.writerows(
+        (n, k, g6, g6bar, a, b, s, "na" if lo is None else lo, "na" if up is None else up, verdict)
+        for n, k, g6, g6bar, a, b, s, lo, up, verdict in records
+    )
 
 
 def build_near_complete_bipartite(n1: int, n2: int) -> Graph:

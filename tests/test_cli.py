@@ -15,6 +15,7 @@ from monoindex.coloring import (
     write_coloring_certificate,
 )
 from monoindex.graphs import (
+    MAX_WALK_VERTICES,
     complete_graph,
     cycle_graph,
     parse_graph6,
@@ -128,11 +129,10 @@ class TestReduceAndGadget:
     def test_emit_files(self, capsys, tmp_path):
         gadget_path = tmp_path / "gadget.g6"
         certs_path = tmp_path / "certs.txt"
-        code, out, _ = run_cli(
-            capsys,
-            "reduce", "--graph", to_graph6(complete_graph(3)), "--k", "1",
-            "--emit-gadget", str(gadget_path), "--certificates", str(certs_path),
-        )
+        k3 = to_graph6(complete_graph(3))
+        code, _, _ = run_cli(capsys, "reduce", "--graph", k3, "--k", "1", "--certificates", str(certs_path))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "gadget", "--graph", k3, "--out", str(gadget_path))
         assert code == 0
         gadget = parse_graph6(gadget_path.read_text())
         assert gadget.n == 8 and gadget.m == 16
@@ -156,12 +156,11 @@ class TestSurveyAndEnumerate:
         assert lines[0].startswith("n,k,g6")
         assert len(lines) == 3
 
-    def test_survey_csv_file(self, capsys, tmp_path):
-        out_path = tmp_path / "survey.csv"
-        code, out, _ = run_cli(capsys, "survey", "--n", "5", "--csv", str(out_path))
+    def test_survey_csv_file(self, capsys):
+        # the file that `survey --n 5 > survey.csv` writes: a header and 24 rows
+        code, out, _ = run_cli(capsys, "survey", "--n", "5")
         assert code == 0
-        assert "records" in out
-        assert out_path.read_text().count("\n") == 25
+        assert out.count("\n") == 25
 
     def test_survey_find_f1(self, capsys):
         code, out, _ = run_cli(capsys, "survey", "--n", "6", "--find-f1")
@@ -182,6 +181,24 @@ class TestSurveyAndEnumerate:
             "k=4: sum in [6, 8]  lower bound 6  upper bound 8\n"
             "       minimum attained by DLo\n"
             "k=5: sum in [6, 8]  lower bound 6  upper bound 8\n"
+            "       minimum attained by DLo\n"
+        )
+
+    def test_failing_survey_exits_1_and_names_the_record(self, capsys, monkeypatch):
+        bad = survey.SurveyRecord(
+            n=5, k=3, g6="DLo", g6_complement="DLo", mvx_g=2, mvx_gbar=3, sum=5,
+            lower_bound=6, upper_bound=None, verdict="fail",
+        )
+        monkeypatch.setattr(cli, "survey_bounds", lambda n, include_n8=False: [bad])
+        code, out, err = run_cli(capsys, "survey", "--n", "5")
+        assert code == 1
+        assert out.splitlines()[1:] == ["5,3,DLo,DLo,2,3,5,6,na,fail"]
+        assert err == (
+            "n=5: 1 co-connected graphs, 1 records\n"
+            "bound violations: 1\n"
+            "  FAIL SurveyRecord(n=5, k=3, g6='DLo', g6_complement='DLo', mvx_g=2, mvx_gbar=3,"
+            " sum=5, lower_bound=6, upper_bound=None, verdict='fail')\n"
+            "k=3: sum in [5, 5]  lower bound 6  upper bound -\n"
             "       minimum attained by DLo\n"
         )
 
@@ -232,7 +249,7 @@ class TestErrors:
         [("mx", "--k", "3"), ("mx", "--k", "2", "--exact"), ("mvx", "--k", "2", "--cut-vertex")],
     )
     def test_witness_beyond_graph6_exits_2_before_the_search(self, capsys, tmp_path, argv):
-        # the cut-vertex search alone takes seconds on P1500; graph6 ends at 62
+        # graph6 ends at 62; the --witness check comes before any search or walk
         graph = tmp_path / "p1500.txt"
         graph.write_text(to_edge_list(path_graph(1500)))
         witness = tmp_path / "witness.txt"
@@ -290,16 +307,13 @@ class TestErrors:
         code, out, err = run_cli(capsys, "survey", "--n", "8")
         assert (code, out) == (2, "") and err.startswith("error:") and "--include-n8" in err
 
-    @pytest.mark.parametrize("option", [("--csv", "f1.csv"), ("--k", "4")])
-    def test_survey_find_f1_refuses_csv_and_k(self, capsys, monkeypatch, tmp_path, option):
+    def test_survey_find_f1_refuses_k(self, capsys, monkeypatch):
         def no_enumeration(*args, **kwargs):
             raise AssertionError("--find-f1 enumerated despite an option it ignores")
 
         monkeypatch.setattr(survey, "enumerate_coconnected", no_enumeration)
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run_cli(capsys, "survey", "--n", "6", "--find-f1", *option)
-        assert code == 2 and out == "" and err.startswith("error:") and option[0] in err
-        assert not (tmp_path / "f1.csv").exists()
+        code, out, err = run_cli(capsys, "survey", "--n", "6", "--find-f1", "--k", "4")
+        assert code == 2 and out == "" and err.startswith("error:") and "--k" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -310,6 +324,8 @@ class TestErrors:
             ("mx", "--graph", "C~", "--k", "3", "-v"),
             ("reduce", "--graph", "Bw", "--k", "1", "--verbose"),
             ("mvx", "--graph", "Ch", "--k", "3", "--exact"),
+            ("survey", "--n", "4", "--csv", "out.csv"),
+            ("reduce", "--graph", "Bw", "--k", "1", "--emit-gadget", "g.g6"),
         ],
     )
     def test_removed_options_are_usage_errors(self, capsys, argv):
@@ -352,6 +368,28 @@ class TestErrors:
         done = run_fresh("mvx", "--graph", str(graph), "--k", "2", "--bound", timeout=10)
         assert done.returncode == 0 and done.stdout == "3\n"
 
+    @pytest.mark.parametrize("route", ["--bound", "--cut-vertex"])
+    def test_walks_beyond_budget_exit_2_quickly(self, capsys, tmp_path, route):
+        # one walk per vertex costs about n^3; P1000 takes close to 1 s
+        graph = tmp_path / "p1001.txt"
+        graph.write_text(to_edge_list(path_graph(MAX_WALK_VERTICES + 1)))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "mvx", "--graph", str(graph), "--k", "2", route)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == "" and err == (
+            f"error: walks from 1001 vertices exceed the budget of {MAX_WALK_VERTICES}\n"
+        )
+
+    def test_reduce_names_the_walk_budget(self, capsys, tmp_path):
+        # the gadget of P1000 has 2,002 vertices: the walk budget refuses it
+        # before the domination budget is reached
+        graph = tmp_path / "p1000.txt"
+        graph.write_text(to_edge_list(path_graph(1000)))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "reduce", "--graph", str(graph), "--k", "1")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == "" and "walks from 2002 vertices" in err
+
     def test_mvx_beyond_kernel_ceiling_exits_2_quickly(self, capsys):
         c30 = to_graph6(cycle_graph(30))
         start = time.perf_counter()
@@ -371,7 +409,6 @@ class TestErrors:
         [
             ("mx", "--graph", "C~", "--k", "3", "--witness"),
             ("mvx", "--graph", "DhC", "--k", "2", "--cut-vertex", "--witness"),
-            ("reduce", "--graph", "Bw", "--k", "1", "--emit-gadget"),
             ("reduce", "--graph", "Bw", "--k", "1", "--certificates"),
             ("gadget", "--graph", "Bg", "--out"),
         ],

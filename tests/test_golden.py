@@ -13,6 +13,7 @@ README's Library block runs here as well, with its printed and commented
 values.
 """
 
+import argparse
 import hashlib
 import importlib
 import pkgutil
@@ -20,7 +21,7 @@ import re
 from pathlib import Path
 
 import monoindex
-from monoindex.cli import main
+from monoindex.cli import build_parser, main
 from monoindex.graphs import enumerate_connected_graphs, to_graph6
 from monoindex.mvx import mvx_profile
 from monoindex.mx import mx_exact_bruteforce
@@ -52,9 +53,9 @@ README_COMMANDS = {
     "mvx --graph Ch --k 3 --bound": "e744f2fbb9fc77137297a2a131a5dc5a4ba76d3a413b31656148aaa5004e8738",
     "mx --graph C~ --k 3 --witness cert.txt": "59daf24bb88e98702a57de7fc360ec3073537abbd1af6fb21a0c26ead5a5e35d",
     "verify --coloring cert.txt --k 3": "5478475b9ea68ee12a022ba5582f3c16bcf97a0a2dc7c16b98dfcb6da5e875f0",
-    "gadget --graph Bw": "80e5ebc1dd506583fd717c8c30fda061b41a7222d642bf681537ea2fdc6c7390",
-    "reduce --graph Bw --k 1 --emit-gadget g.g6 --certificates c.txt": "2ddcb229031361ea7fbced260f32c8b56eaad48304c9d75a358eaf13dafb902a",
-    "survey --n 6 --csv out.csv": "e4e7d285b2aea9a3942430cc97a483e7bf0b5b497117e534eb8147bdc4567b26",
+    "gadget --graph Bw --out g.g6": "953d89207a65104fb3f1efceeef91d5946d8b0976d9947810a64edcea2b50d67",
+    "reduce --graph Bw --k 1 --certificates c.txt": "e191b8be8be969f487edb7373fd20fecf137f911a0846173ac2d5e661177d49b",
+    "survey --n 6": "2c4fa0608d004e01749f1dd11afb7797995c288494d76705e9970c6b7ce3314e",
     "survey --n 6 --find-f1": "f4c5b2b009ec543782fc668ef383c6947ee1d193c978f34e2661d779af230895",
     "enumerate --n 5": "498d32ee965aee8bf86067b4688d0a1557fc64492fcc9aa8351ad8c4b03681c7",
 }
@@ -109,6 +110,25 @@ def test_readme_names_every_budget():
     }
     assert {name for name in constants if "MAX_" in name} <= named
     assert named <= constants
+
+
+def test_readme_names_every_option():
+    # the "Command line" section names every option of every subcommand, and
+    # every --option it names exists in the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        flag
+        for p in sub.choices.values()
+        for action in p._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+    assert options <= named
+    assert named <= options | {flag for a in parser._actions for flag in a.option_strings}
 
 
 def test_enumerate_stdout(capsys, tmp_path):

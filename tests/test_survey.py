@@ -112,7 +112,8 @@ class TestSurvey:
     def test_csv_schema(self, tmp_path):
         records = survey_bounds(4)
         out = tmp_path / "survey.csv"
-        write_survey_csv(records, str(out))
+        with open(out, "w", newline="") as fh:
+            write_survey_csv(records, fh)
         lines = out.read_text().splitlines()
         assert lines[0] == "n,k,g6,g6_complement,mvx_g,mvx_gbar,sum,lower_bound,upper_bound,verdict"
         assert len(lines) == 1 + len(records)
