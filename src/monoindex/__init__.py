@@ -12,10 +12,8 @@ complement-pair bounds over exhaustively enumerated small graphs.
 __version__ = "0.1.0"
 
 from .coloring import (
-    ColorClass,
     EdgeColoring,
     VertexColoring,
-    color_classes,
     mono_stree_exists,
     normalize_to_forest,
     parse_coloring_certificate,

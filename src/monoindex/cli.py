@@ -97,6 +97,8 @@ def _cmd_mx(args: argparse.Namespace) -> int:
 
 
 def _cmd_mvx(args: argparse.Namespace) -> int:
+    if args.bound and args.witness:
+        raise ValueError("--bound has no witness coloring to write; drop --witness")
     g = _load_graph(args.graph)
     k = args.k
     if args.bound:

@@ -112,15 +112,17 @@ class _Coloring:
         )
 
 
-def _edge_covers(g: Graph, colors) -> list[int]:
-    """Vertex masks of all monochromatic components, over all colors."""
+def _edges_by_color(g: Graph, colors) -> dict[int, list[tuple[int, int]]]:
+    """{color: its edges in edge order}, colors in order of first appearance."""
     groups: dict[int, list[tuple[int, int]]] = {}
     for e, c in zip(g.edges, colors):
         groups.setdefault(c, []).append(e)
-    masks = []
-    for group in groups.values():
-        masks.extend(edge_forest(group)[1])
-    return masks
+    return groups
+
+
+def _edge_covers(g: Graph, colors) -> list[int]:
+    """Vertex masks of all monochromatic components, over all colors."""
+    return [comp for edges in _edges_by_color(g, colors).values() for comp in edge_forest(edges)[1]]
 
 
 def _vertex_covers(g: Graph, colors) -> list[int]:
@@ -150,57 +152,6 @@ class VertexColoring(_Coloring):
     _elements = staticmethod(lambda g: [(v,) for v in range(g.n)])
     _size = staticmethod(lambda g: g.n)
     _covers = staticmethod(_vertex_covers)
-
-    def class_mask(self, color: int) -> int:
-        out = 0
-        for v, c in enumerate(self.colors):
-            if c == color:
-                out |= 1 << v
-        return out
-
-
-@dataclass(frozen=True)
-class ColorClass:
-    """The edges of one color, with the vertex set they touch."""
-
-    color: int
-    edges: tuple[tuple[int, int], ...]
-    vertices: int
-
-    @property
-    def trivial(self) -> bool:
-        return len(self.edges) <= 1
-
-    @cached_property
-    def component_masks(self) -> tuple[int, ...]:
-        return tuple(sorted(edge_forest(self.edges)[1], key=lambda mask: mask & -mask))
-
-    @property
-    def is_connected(self) -> bool:
-        return len(self.component_masks) == 1
-
-    @property
-    def is_tree(self) -> bool:
-        return self.is_connected and len(self.edges) == self.vertices.bit_count() - 1
-
-    @property
-    def has_cycle(self) -> bool:
-        return len(self.edges) > self.vertices.bit_count() - len(self.component_masks)
-
-
-def color_classes(ec: EdgeColoring) -> list[ColorClass]:
-    """One entry per used color, ascending by color id; edge sets partition E."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for e, c in zip(ec.graph.edges, ec.colors):
-        groups.setdefault(c, []).append(e)
-    out = []
-    for c in sorted(groups):
-        edges = tuple(groups[c])
-        vertices = 0
-        for u, v in edges:
-            vertices |= 1 << u | 1 << v
-        out.append(ColorClass(c, edges, vertices))
-    return out
 
 
 def _coverage_targets(g: Graph, k: int):
@@ -371,16 +322,22 @@ def normalize_to_forest(ec: EdgeColoring, k: int) -> EdgeColoring:
     components and frees each edge that closes a cycle, the highest-indexed
     on it, as a one-edge class; no component's vertex set changes. The output
     is renumbered by first appearance, so this partition of the edges alone
-    decides it, and the pass is idempotent on its own output.
+    decides it, and the pass is idempotent on its own output. Validity is
+    checked on the input and on the output.
     """
     if not verify_mx_coloring(ec, k):
         raise ValueError(f"input coloring is not valid at k={k}")
+    return _split_into_trees(ec, k)
+
+
+def _split_into_trees(ec: EdgeColoring, k: int) -> EdgeColoring:
+    """``normalize_to_forest`` on an input taken as valid at k; the output is checked."""
     # tree edge: (color, component mask); cycle edge: (None, edge), no color being None
     key = {}
-    for cc in color_classes(ec):
-        kept, comps = edge_forest(cc.edges)
-        for e, tree_edge in zip(cc.edges, kept):
-            key[e] = (cc.color, next(c for c in comps if c >> e[0] & 1)) if tree_edge else (None, e)
+    for c, edges in _edges_by_color(ec.graph, ec.colors).items():
+        kept, comps = edge_forest(edges)
+        for e, tree_edge in zip(edges, kept):
+            key[e] = (c, next(m for m in comps if m >> e[0] & 1)) if tree_edge else (None, e)
     out = EdgeColoring(ec.graph, _renumber(tuple(key[e] for e in ec.graph.edges)))
     if not verify_mx_coloring(out, k):
         raise RuntimeError("normalization broke the coloring; this is a bug")

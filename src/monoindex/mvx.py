@@ -296,11 +296,8 @@ def extract_mono_spanning_tree(vc: VertexColoring, v0: int) -> SpanningTreeResul
         raise ValueError(f"vertex {v0} is not a cut vertex")
     if not verify_mvx_coloring(vc, 2):
         raise ValueError("the coloring is not valid at k=2")
-    core = next(
-        comp
-        for comp in connected_components(g, vc.class_mask(vc.colors[v0]))
-        if comp >> v0 & 1
-    )
+    same = mask_from(v for v, c in enumerate(vc.colors) if c == vc.colors[v0])
+    core = next(comp for comp in connected_components(g, same) if comp >> v0 & 1)
     if closed_neighborhood(g, core) != g.full_mask:
         raise RuntimeError("v0's color component does not dominate the graph; this is a bug")
     return _tree_from_core(g, core, v0)

@@ -3,7 +3,9 @@
 For any connected graph and any k >= 3 the maximum number of colors in a
 valid edge coloring is m - n + 2, witnessed by coloring a spanning tree
 with one color and every leftover edge with a fresh one. Simplification
-merges color trees that overlap in two or more vertices, then normalizes.
+merges color trees that overlap in two or more vertices, then splits them
+with normalization's Kruskal pass; it checks validity on its input and on
+its output only.
 The exact search below is the independent check of that closed form (and
 the only exact route for k = 2, where mx_2 = mc).
 
@@ -24,13 +26,13 @@ from .coloring import (
     MAX_KERNEL_VERTICES,
     EdgeColoring,
     _check_index_args,
+    _edges_by_color,
     _least_excess,
+    _split_into_trees,
     _target_bits,
-    color_classes,
-    normalize_to_forest,
     verify_mx_coloring,
 )
-from .graphs import BudgetError, Graph, bfs_tree, is_connected
+from .graphs import BudgetError, Graph, bfs_tree, edge_forest, is_connected
 
 MAX_SUBTREES = 500_000  # K8 has 441,176 subtrees of two or more edges, K9 more
 
@@ -82,21 +84,24 @@ def simplify_coloring(ec: EdgeColoring, k: int) -> EdgeColoring:
 
     Simple means any two color classes with >= 2 edges share at most one
     vertex. Groups of classes whose vertex sets share two or more vertices
-    merge, in any order (masks only grow), and take one color, which only
-    grows monochromatic components. ``normalize_to_forest`` keeps each
-    group's Kruskal tree, the one pairwise merging reaches as
+    merge, in any order (masks only grow, and every merge is forced), and
+    take one color, which only grows monochromatic components, so the merged
+    coloring needs no check. The Kruskal split of ``normalize_to_forest``
+    keeps each group's Kruskal tree, the one pairwise merging reaches as
     MSF(A | B) = MSF(MSF(A) | B) under edge-index weights, and frees the rest
     as one-edge classes: t trees free at least t - 1, so no color is lost.
+    Validity is checked on the input and on the output only.
     """
     if not verify_mx_coloring(ec, k):
         raise ValueError(f"input coloring is not valid at k={k}")
-    if any(not cc.is_tree for cc in color_classes(ec)):
-        raise ValueError("simplification expects tree classes; run normalize_to_forest first")
     groups: list[tuple[int, list[int]]] = []  # (vertex mask, colors), pairwise overlap <= 1
-    for cc in color_classes(ec):
-        if cc.trivial:
+    for c, edges in _edges_by_color(ec.graph, ec.colors).items():
+        kept, comps = edge_forest(edges)
+        if len(comps) > 1 or not all(kept):
+            raise ValueError("simplification expects tree classes; run normalize_to_forest first")
+        if len(edges) == 1:
             continue
-        mask, colors = cc.vertices, [cc.color]
+        mask, colors = comps[0], [c]
         while overlap := [grp for grp in groups if (grp[0] & mask).bit_count() >= 2]:
             for grp in overlap:
                 groups.remove(grp)
@@ -104,7 +109,7 @@ def simplify_coloring(ec: EdgeColoring, k: int) -> EdgeColoring:
                 colors += grp[1]
         groups.append((mask, colors))
     to = {c: colors[0] for _, colors in groups for c in colors}
-    return normalize_to_forest(EdgeColoring(ec.graph, tuple(to.get(c, c) for c in ec.colors)), k)
+    return _split_into_trees(EdgeColoring(ec.graph, tuple(to.get(c, c) for c in ec.colors)), k)
 
 
 def _subtrees(g: Graph) -> dict[int, int]:

@@ -57,7 +57,6 @@ from monoindex.coloring import (
     _renumber,
     _target_bits,
     _vertex_covers,
-    color_classes,
     verify_mx_coloring,
 )
 from monoindex.graphs import (
@@ -680,33 +679,55 @@ def normalize_by_fresh_colors(ec: EdgeColoring, k: int) -> EdgeColoring:
     return out
 
 
+def edges_by_color(ec: EdgeColoring) -> dict[int, list[tuple[int, int]]]:
+    """{color: its edges in edge order}, by ascending color."""
+    groups: dict[int, list[tuple[int, int]]] = {c: [] for c in sorted(set(ec.colors))}
+    for e, c in zip(ec.graph.edges, ec.colors):
+        groups[c].append(e)
+    return groups
+
+
+def all_classes_trees(ec: EdgeColoring) -> bool:
+    """Is every color class a tree: one component, and no edge closing a cycle?"""
+    for edges in edges_by_color(ec).values():
+        kept, comps = edge_forest(edges)
+        if len(comps) > 1 or not all(kept):
+            return False
+    return True
+
+
 def simplify_by_pairs(ec: EdgeColoring, k: int) -> EdgeColoring:
     """Tree classes merged pair by pair: while two nontrivial classes share
     two or more vertices, a Kruskal pass in edge order over their union keeps
     a spanning tree in the first class's color and gives every other edge a
-    fresh color; then the colors are renumbered."""
+    fresh color; then the colors are renumbered. Classes are visited by
+    ascending color."""
     g = ec.graph
     if not verify_mx_coloring(ec, k):
         raise ValueError(f"input coloring is not valid at k={k}")
-    if any(not cc.is_tree for cc in color_classes(ec)):
+    if not all_classes_trees(ec):
         raise ValueError("simplification expects tree classes; run normalize_to_forest first")
     index = {e: i for i, e in enumerate(g.edges)}
     colors = list(ec.colors)
     next_color = max(colors) + 1
     while True:
-        classes = [cc for cc in color_classes(EdgeColoring(g, tuple(colors))) if not cc.trivial]
+        classes = [
+            (c, edges, mask_from(v for e in edges for v in e))
+            for c, edges in edges_by_color(EdgeColoring(g, tuple(colors))).items()
+            if len(edges) >= 2
+        ]
         pair = next(
             ((a, b) for i, a in enumerate(classes) for b in classes[i + 1:]
-             if (a.vertices & b.vertices).bit_count() >= 2),
+             if (a[2] & b[2]).bit_count() >= 2),
             None,
         )
         if pair is None:
             break
-        union_idxs = sorted(index[e] for cc in pair for e in cc.edges)
+        union_idxs = sorted(index[e] for _, edges, _ in pair for e in edges)
         kept, _ = edge_forest(g.edges[idx] for idx in union_idxs)
         for idx, tree_edge in zip(union_idxs, kept):
             if tree_edge:
-                colors[idx] = pair[0].color
+                colors[idx] = pair[0][0]
             else:
                 colors[idx] = next_color
                 next_color += 1

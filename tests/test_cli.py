@@ -259,15 +259,19 @@ class TestErrors:
         assert code == 2 and out == "" and err.startswith("error: --witness") and "62" in err
         assert not witness.exists()
 
-    def test_bound_ignores_witness(self, capsys, tmp_path):
-        # --bound writes no certificate, so a graph graph6 cannot hold is fine
-        graph = tmp_path / "p70.txt"
-        graph.write_text(to_edge_list(path_graph(70)))
+    def test_bound_refuses_witness(self, capsys, monkeypatch, tmp_path):
+        # --bound has no coloring to write, so the pair exits 2 before the
+        # graph is even read, and leaves no file
+        def no_load(source):
+            raise AssertionError("mvx --bound --witness read its graph")
+
+        monkeypatch.setattr(cli, "_load_graph", no_load)
         witness = tmp_path / "witness.txt"
-        code, out, _ = run_cli(
-            capsys, "mvx", "--graph", str(graph), "--k", "3", "--bound", "--witness", str(witness)
+        code, out, err = run_cli(
+            capsys, "mvx", "--graph", "DQc", "--k", "3", "--bound", "--witness", str(witness)
         )
-        assert (code, out) == (0, "3\n") and not witness.exists()
+        assert code == 2 and out == "" and err.startswith("error: --bound")
+        assert not witness.exists()
 
     @pytest.mark.parametrize("k", ["1", "5", "99"])
     def test_mvx_bound_k_out_of_range(self, capsys, k):

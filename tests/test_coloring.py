@@ -6,7 +6,6 @@ from monoindex import coloring
 from monoindex.coloring import (
     EdgeColoring,
     VertexColoring,
-    color_classes,
     mono_stree_exists,
     normalize_to_forest,
     parse_coloring_certificate,
@@ -80,31 +79,6 @@ class TestColoringTypes:
             VertexColoring(path_graph(3), (0, 1))
         with pytest.raises(ValueError, match="edges"):
             EdgeColoring(path_graph(3), (0,))
-
-
-class TestColorClasses:
-    def test_cycle_single_class(self):
-        c4 = cycle_graph(4)
-        classes = color_classes(EdgeColoring(c4, (0, 0, 0, 0)))
-        assert len(classes) == 1
-        assert len(classes[0].edges) == 4
-        assert classes[0].has_cycle and not classes[0].is_tree
-
-    def test_sizes(self):
-        c4 = cycle_graph(4)
-        ec = EdgeColoring.from_map(c4, {(0, 1): 0, (1, 2): 0, (2, 3): 1, (0, 3): 2})
-        classes = color_classes(ec)
-        assert sorted(len(c.edges) for c in classes) == [1, 1, 2]
-        assert [c.trivial for c in sorted(classes, key=lambda c: -len(c.edges))] == [
-            False,
-            True,
-            True,
-        ]
-
-    def test_partition(self):
-        g = complete_graph(4)
-        ec = EdgeColoring(g, (0, 1, 0, 2, 1, 0))
-        assert sum(len(c.edges) for c in color_classes(ec)) == g.m
 
 
 class TestMonoSTree:
@@ -202,7 +176,7 @@ class TestNormalizeToForest:
         c4 = cycle_graph(4)
         out = normalize_to_forest(EdgeColoring(c4, (0, 0, 0, 0)), 3)
         assert out.num_colors == 2
-        assert all(c.is_tree for c in color_classes(out))
+        assert oracles.all_classes_trees(out)
         # highest-indexed cycle edge moved out: the spanning path survives
         assert out.colors == (0, 0, 0, 1)
 
@@ -222,7 +196,7 @@ class TestNormalizeToForest:
         assert verify_mx_coloring(ec, 3)
         out = normalize_to_forest(ec, 3)
         assert out.num_colors == ec.num_colors + 1
-        assert all(c.is_tree for c in color_classes(out))
+        assert oracles.all_classes_trees(out)
         assert verify_mx_coloring(out, 3)
 
     def test_invalid_input_rejected(self):

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from monoindex import mx
+from monoindex import coloring, mx
 from monoindex.coloring import (
     MAX_KERNEL_VERTICES,
     EdgeColoring,
-    color_classes,
     normalize_to_forest,
     verify_mx_coloring,
 )
@@ -19,6 +18,7 @@ from monoindex.graphs import (
     enumerate_connected_graphs,
     from_edges,
     is_connected,
+    mask_from,
     parse_graph6,
     path_graph,
 )
@@ -33,12 +33,16 @@ import oracles
 
 
 def is_simple(ec: EdgeColoring) -> bool:
-    classes = [c for c in color_classes(ec) if not c.trivial]
-    return all(
-        (a.vertices & b.vertices).bit_count() <= 1
-        for i, a in enumerate(classes)
-        for b in classes[i + 1 :]
-    )
+    spans = [
+        mask_from(v for e in edges for v in e)
+        for edges in oracles.edges_by_color(ec).values()
+        if len(edges) >= 2
+    ]
+    return all((a & b).bit_count() <= 1 for i, a in enumerate(spans) for b in spans[i + 1 :])
+
+
+def one_edge_classes(ec: EdgeColoring) -> int:
+    return sum(len(edges) == 1 for edges in oracles.edges_by_color(ec).values())
 
 
 class TestFormula:
@@ -75,7 +79,7 @@ class TestConstruction:
         for n in range(2, 6):
             for g in enumerate_connected_graphs(n):
                 ec = construct_extremal_mx(g)
-                assert all(c.is_tree for c in color_classes(ec))
+                assert oracles.all_classes_trees(ec)
                 assert is_simple(ec)
 
     def test_disconnected_rejected(self):
@@ -97,9 +101,7 @@ class TestSimplify:
         assert verify_mx_coloring(ec, 2)
         out = simplify_coloring(ec, 2)
         assert out.num_colors == ec.num_colors
-        trivial_before = sum(1 for c in color_classes(ec) if c.trivial)
-        trivial_after = sum(1 for c in color_classes(out) if c.trivial)
-        assert trivial_after == trivial_before + 1
+        assert one_edge_classes(out) == one_edge_classes(ec) + 1
         assert is_simple(out)
         assert verify_mx_coloring(out, 2)
 
@@ -119,6 +121,25 @@ class TestSimplify:
         c4 = cycle_graph(4)
         with pytest.raises(ValueError, match="normalize"):
             simplify_coloring(EdgeColoring(c4, (0, 0, 0, 0)), 3)
+
+    @pytest.mark.parametrize("recolor", [normalize_to_forest, simplify_coloring])
+    def test_checks_validity_twice(self, monkeypatch, recolor):
+        # once on the input and once on the output; merged classes only grow
+        # monochromatic components, so simplification checks nothing between
+        k4 = complete_graph(4)
+        ec = EdgeColoring.from_map(
+            k4, {(0, 1): 0, (1, 2): 0, (0, 3): 1, (1, 3): 1, (2, 3): 1, (0, 2): 2}
+        )
+        verify, checked = coloring.verify_mx_coloring, []
+
+        def counting(checked_ec, k):
+            checked.append(checked_ec.colors)
+            return verify(checked_ec, k)
+
+        monkeypatch.setattr(coloring, "verify_mx_coloring", counting)
+        monkeypatch.setattr(mx, "verify_mx_coloring", counting)
+        out = recolor(ec, 3)
+        assert checked == [ec.colors, out.colors]
 
 
 class TestAgainstFreshColorRecolorings:
@@ -147,7 +168,7 @@ class TestAgainstFreshColorRecolorings:
         # every connected graph with n <= 6 and a sample of 40 at n = 7
         graphs = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
         graphs += random.Random(7).sample(list(enumerate_connected_graphs(7)), 40)
-        cases = normalized = simplified = 0
+        cases = normalized = simplified = reordered = 0
         for g in graphs:
             for ec, k in self.valid_colorings(g, random.Random(str(g.edges))):
                 forest = normalize_to_forest(ec, k)
@@ -157,10 +178,20 @@ class TestAgainstFreshColorRecolorings:
                 assert simple.colors == oracles.simplify_by_pairs(forest, k).colors, (
                     g.edges, forest.colors, k)
                 assert is_simple(simple) and simple.num_colors >= forest.num_colors
+                # the same forest with its ids reversed: classes now first
+                # appear in descending id, and the result must not change
+                top = max(forest.colors)
+                reversed_ids = EdgeColoring(g, tuple(top - c for c in forest.colors))
+                assert simplify_coloring(reversed_ids, k).colors == simple.colors, (
+                    g.edges, reversed_ids.colors, k)
+                assert oracles.simplify_by_pairs(reversed_ids, k).colors == simple.colors, (
+                    g.edges, reversed_ids.colors, k)
                 cases += 1
                 normalized += forest.colors != ec.renumbered().colors
                 simplified += simple.colors != forest.colors
+                reordered += top >= 1
         assert (cases, normalized, simplified) == (951, 782, 290)
+        assert reordered == 900  # cases with two or more colors, whose order the reversal changes
 
 
 class TestBruteforce:
