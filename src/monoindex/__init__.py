@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 
 from .coloring import (
     EdgeColoring,
+    IndexResult,
     VertexColoring,
     mono_stree_exists,
     normalize_to_forest,
@@ -51,7 +52,6 @@ from .graphs import (
     to_graph6,
 )
 from .mvx import (
-    MvxResult,
     SpanningTreeResult,
     complement_cycle_mvx,
     connected_domination_number,
@@ -65,7 +65,6 @@ from .mvx import (
     mvx_via_cut_vertex,
 )
 from .mx import (
-    MxResult,
     construct_extremal_mx,
     mx_exact_bruteforce,
     mx_k_formula,

@@ -87,11 +87,9 @@ def _cmd_mx(args: argparse.Namespace) -> int:
     if args.exact or k == 2:
         if not args.exact:
             raise ValueError("the closed form covers k >= 3 only; pass --exact for k=2")
-        result = mx_exact_bruteforce(g, k)
-        value, witness = result.value, result.witness
+        value, witness = mx_exact_bruteforce(g, k)
     else:
-        value = mx_k_formula(g, k)
-        witness = construct_extremal_mx(g)
+        value, witness = mx_k_formula(g, k), construct_extremal_mx(g)
     _print_with_witness(args, value, witness)
     return 0
 
@@ -106,8 +104,8 @@ def _cmd_mvx(args: argparse.Namespace) -> int:
         print(diameter_upper_bound(g))
         return 0
     _check_witness(args, g)
-    result = (mvx_via_cut_vertex if args.cut_vertex else mvx_exact)(g, k)
-    _print_with_witness(args, result.value, result.witness)
+    value, witness = (mvx_via_cut_vertex if args.cut_vertex else mvx_exact)(g, k)
+    _print_with_witness(args, value, witness)
     return 0
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .graphs import (
     BudgetError,
@@ -184,6 +185,13 @@ def _down_sets(n: int) -> list[int]:
     for h in range(n):
         down += [d | d << (1 << h) for d in down]
     return down
+
+
+class IndexResult(NamedTuple):
+    """An exact index and a coloring that attains it."""
+
+    value: int
+    witness: _Coloring
 
 
 def _least_excess(

@@ -142,12 +142,7 @@ def closed_neighborhood(g: Graph, mask: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        frontier = closed_neighborhood(g, frontier) & ~seen
-        seen |= frontier
-    return seen == g.full_mask
+    return connected_components(g) == [g.full_mask]
 
 
 def connected_components(g: Graph, within: int | None = None) -> list[int]:
@@ -322,7 +317,7 @@ def to_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse "n m" followed by m lines "u v" (0-indexed)."""
+    """Parse "n m" followed by m lines "u v" (0-indexed), each pair once."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("edge list needs a leading 'n m' line")
@@ -333,10 +328,21 @@ def parse_edge_list(text: str) -> Graph:
     n, m = numbers[0], numbers[1]
     if n > EDGE_LIST_MAX_VERTICES:
         raise ValueError(f"edge list announces {n} vertices; the cap is {EDGE_LIST_MAX_VERTICES}")
-    if len(numbers) != 2 + 2 * m:
-        raise ValueError(f"edge list announces {m} edges but carries {(len(numbers) - 2) / 2}")
+    if m < 0:
+        raise ValueError(f"edge list announces {m} edges; the count cannot be negative")
+    if len(numbers) % 2:
+        raise ValueError(f"edge list ends in vertex id {numbers[-1]}, which has no partner")
     pairs = list(zip(numbers[2::2], numbers[3::2]))
-    return from_edges(n, pairs)
+    if len(pairs) != m:
+        raise ValueError(f"edge list announces {m} edges but carries {len(pairs)}")
+    g = from_edges(n, pairs)
+    if g.m < m:  # from_edges collapses a repeated pair
+        seen = set()
+        for u, v in pairs:
+            if (v, u) in seen or (u, v) in seen:
+                raise ValueError(f"edge list repeats the edge {u}-{v}")
+            seen.add((u, v))
+    return g
 
 
 def parse_graph(text: str) -> Graph:

@@ -27,12 +27,13 @@ every t in s, so the blocks of one size that hold s take one AND per t in s.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .coloring import (
     MAX_KERNEL_VERTICES,
+    IndexResult,
     VertexColoring,
     _check_index_args,
     _down_sets,
@@ -58,18 +59,9 @@ MAX_TREE_SUBSETS = 10_000_000
 MAX_DOMINATION_VERTICES = 20
 
 
-@dataclass(frozen=True)
-class SpanningTreeResult:
+class SpanningTreeResult(NamedTuple):
     edges: tuple[tuple[int, int], ...]
     leaf_count: int
-
-
-@dataclass(frozen=True)
-class MvxResult:
-    value: int
-    witness: VertexColoring
-    k: int
-    method: str  # "exact-search" | "cut-vertex"
 
 
 def _degrees(n: int, edges) -> list[int]:
@@ -170,8 +162,8 @@ def mvx_n_formula(g: Graph) -> int:
     return _max_leaf_tree(g).leaf_count + 1
 
 
-def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
-    """On a graph with a cut vertex the index is l(T_max) + 1 for every k.
+def mvx_via_cut_vertex(g: Graph, k: int) -> IndexResult:
+    """(value, witness) on a graph with a cut vertex: l(T_max) + 1 at every k.
 
     The witness colors the internal vertices of a max-leaf spanning tree with
     one color and every leaf with a fresh one.
@@ -180,30 +172,28 @@ def mvx_via_cut_vertex(g: Graph, k: int) -> MvxResult:
     if not cut_vertices(g):
         raise ValueError("not applicable: the graph has no cut vertex")
     tree = _max_leaf_tree(g)
-    deg = _degrees(g.n, tree.edges)
+    leaves = [v for v, d in enumerate(_degrees(g.n, tree.edges)) if d == 1]
     colors = [0] * g.n
-    fresh = 1
-    for v in range(g.n):
-        if deg[v] == 1:
-            colors[v] = fresh
-            fresh += 1
-    return MvxResult(tree.leaf_count + 1, VertexColoring(g, tuple(colors)), k, "cut-vertex")
+    for fresh, v in enumerate(leaves, 1):
+        colors[v] = fresh
+    return IndexResult(tree.leaf_count + 1, VertexColoring(g, tuple(colors)))
 
 
-def mvx_exact(g: Graph, k: int) -> MvxResult:
-    """Maximum color count over all vertex colorings valid at k, read off
-    ``mvx_profile`` (which checks g): k = 2..n share one search."""
+def mvx_exact(g: Graph, k: int) -> IndexResult:
+    """(value, witness): the maximum color count over all vertex colorings
+    valid at k, and a coloring using it, read off ``mvx_profile`` (which
+    checks g): k = 2..n share one search."""
     if not 2 <= k <= g.n:
         _check_index_args(g, k)
     return mvx_profile(g)[k - 2]
 
 
 @lru_cache(maxsize=1)
-def mvx_profile(g: Graph) -> tuple[MvxResult, ...]:
-    """The exact results for k = 2..n, one witness per distinct coloring, from
-    one least-excess search (module docstring). It starts at e = diam - 2, as
-    mvx_k <= n - diam + 2, and each k at the e of k - 1, as validity only
-    shrinks as k grows.
+def mvx_profile(g: Graph) -> tuple[IndexResult, ...]:
+    """The (value, witness) results for k = 2..n, one witness per distinct
+    coloring, from one least-excess search (module docstring). It starts at
+    e = diam - 2, as mvx_k <= n - diam + 2, and each k at the e of k - 1, as
+    validity only shrinks as k grows.
     Refuses g if disconnected, then if n > MAX_KERNEL_VERTICES, before any table.
     """
     _check_index_args(g, 2)
@@ -242,8 +232,7 @@ def mvx_profile(g: Graph) -> tuple[MvxResult, ...]:
     target_sets = [_k_set_bits(n, k) & ~base for k in range(2, n + 1)]
     found = _least_excess(n, n, closed, holding, target_sets, max(diam - 2, 0), least=1)
     witness = {c: VertexColoring(g, c) for c in {c for _, c in found}}
-    return tuple(MvxResult(n - e, witness[c], k, "exact-search")
-                 for k, (e, c) in enumerate(found, 2))
+    return tuple(IndexResult(n - e, witness[c]) for e, c in found)
 
 
 def cycle_mvc_formula(n: int) -> int:

@@ -20,11 +20,12 @@ holds every k-set. Their count, not m, sets the cost, and the budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import count
 
 from .coloring import (
     MAX_KERNEL_VERTICES,
     EdgeColoring,
+    IndexResult,
     _check_index_args,
     _edges_by_color,
     _least_excess,
@@ -35,13 +36,6 @@ from .coloring import (
 from .graphs import BudgetError, Graph, bfs_tree, edge_forest, is_connected
 
 MAX_SUBTREES = 500_000  # K8 has 441,176 subtrees of two or more edges, K9 more
-
-
-@dataclass(frozen=True)
-class MxResult:
-    value: int
-    witness: EdgeColoring
-    k: int
 
 
 def mx_k_formula(g: Graph, k: int) -> int:
@@ -67,16 +61,8 @@ def construct_extremal_mx(g: Graph) -> EdgeColoring:
         raise ValueError("extremal construction needs a connected graph")
     if g.n == 1:
         return EdgeColoring(g, ())
-    tree_edges = set(bfs_tree(g, 0))
-    colors = []
-    fresh = 1
-    for e in g.edges:
-        if e in tree_edges:
-            colors.append(0)
-        else:
-            colors.append(fresh)
-            fresh += 1
-    return EdgeColoring(g, tuple(colors))
+    tree_edges, fresh = set(bfs_tree(g, 0)), count(1)
+    return EdgeColoring(g, tuple(0 if e in tree_edges else next(fresh) for e in g.edges))
 
 
 def simplify_coloring(ec: EdgeColoring, k: int) -> EdgeColoring:
@@ -141,13 +127,14 @@ def _subtrees(g: Graph) -> dict[int, int]:
     return out
 
 
-def mx_exact_bruteforce(g: Graph, k: int) -> MxResult:
-    """Maximum color count over all edge colorings valid at k: m - e, with e
-    the least total excess of edge-disjoint subtrees that hold every target
-    (module docstring), found by ``coloring._least_excess``. The search is
-    exact, not brute force; the name stays for the API and perfbench's
-    tracer. Refuses more than MAX_KERNEL_VERTICES vertices, and then more
-    than MAX_SUBTREES subtrees, before any table is built.
+def mx_exact_bruteforce(g: Graph, k: int) -> IndexResult:
+    """(value, witness): the maximum color count over all edge colorings
+    valid at k and a coloring that uses it. The value is m - e, with e the
+    least total excess of edge-disjoint subtrees that hold every target
+    (module docstring), from ``coloring._least_excess``. The search is exact,
+    not brute force; the name stays for the API and perfbench's tracer.
+    Refuses more than MAX_KERNEL_VERTICES vertices, and then more than
+    MAX_SUBTREES subtrees, before any table is built.
     """
     _check_index_args(g, k)
     if g.n > MAX_KERNEL_VERTICES:
@@ -163,4 +150,4 @@ def mx_exact_bruteforce(g: Graph, k: int) -> MxResult:
         g.n, g.m, trees, lambda s, x: [t for t in levels[x] if trees[t] & s == s],
         [_target_bits(g, k)], 0, max(k, 3) - 2,
     )
-    return MxResult(g.m - e, EdgeColoring(g, colors), k)
+    return IndexResult(g.m - e, EdgeColoring(g, colors))

@@ -70,6 +70,14 @@ class TestMx:
         cert = parse_coloring_certificate(witness.read_text())
         assert cert.num_colors == 4
 
+    def test_repeated_edge_exits_2_before_any_work(self, capsys, monkeypatch):
+        # the header announces 4 edges; collapsing "1 0" onto "0 1" would
+        # answer for the path on 3 edges
+        monkeypatch.setattr(cli, "mx_k_formula", lambda g, k: pytest.fail("the index was computed"))
+        code, out, err = run_cli(capsys, "mx", "--graph", "4 4 0 1 1 2 2 3 1 0", "--k", "3")
+        assert code == 2 and out == ""
+        assert err == "error: edge list repeats the edge 1-0\n"
+
 
 class TestMvx:
     def test_exact_default(self, capsys):

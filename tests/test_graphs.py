@@ -428,10 +428,25 @@ class TestTextFormats:
         assert parse_edge_list(to_edge_list(g)).adj == g.adj
 
     def test_edge_list_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge list announces 2 edges but carries 1$"):
             parse_edge_list("3 2\n0 1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge list announces 3 edges but carries 2$"):
+            parse_edge_list("4 3\n0 1\n1 2\n")
+        with pytest.raises(ValueError, match=r"^edge list ends in vertex id 2, which has no partner$"):
+            parse_edge_list("4 3\n0 1\n1 2\n2\n")
+        with pytest.raises(ValueError, match=r"^edge list announces -1 edges; the count cannot be negative$"):
+            parse_edge_list("3 -1\n")
+        with pytest.raises(ValueError, match="non-integer"):
             parse_edge_list("3 one\n")
+        # a repeated pair, in either order, is named rather than collapsed
+        with pytest.raises(ValueError, match=r"^edge list repeats the edge 1-0$"):
+            parse_edge_list("4 4\n0 1\n1 2\n2 3\n1 0\n")
+        with pytest.raises(ValueError, match=r"^edge list repeats the edge 2-3$"):
+            parse_edge_list("4 4\n0 1\n2 3\n1 2\n2 3\n")
+        with pytest.raises(ValueError, match="loop at vertex 0"):
+            parse_edge_list("2 2\n0 0\n0 0\n")
+        # library callers keep the collapsing constructor
+        assert from_edges(4, [(0, 1), (1, 0)]).m == 1
 
     def test_auto_detect(self):
         g = path_graph(4)

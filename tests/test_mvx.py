@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monoindex
 from monoindex import mvx
-from monoindex.coloring import VertexColoring, verify_mvx_coloring
+from monoindex.coloring import VertexColoring, verify_mvx_coloring, verify_mx_coloring
 from monoindex.graphs import (
     BudgetError,
     Graph,
@@ -34,6 +35,7 @@ from monoindex.mvx import (
     mvx_n_formula,
     mvx_via_cut_vertex,
 )
+from monoindex.mx import mx_exact_bruteforce
 from monoindex.partitions import set_partitions_with_blocks
 from monoindex.reduction import build_gadget, decide_ds_via_mvx
 
@@ -147,7 +149,6 @@ class TestCutVertexRoute:
         for g in (path_graph(5), bowtie(), star_graph(6)):
             for k in range(2, g.n + 1):
                 res = mvx_via_cut_vertex(g, k)
-                assert res.method == "cut-vertex"
                 assert res.witness.num_colors == res.value
                 assert verify_mvx_coloring(res.witness, k)
 
@@ -199,7 +200,6 @@ class TestExactSearch:
     def test_witness_checks(self):
         res = mvx_exact(prism(), 4)
         assert res.value == 5
-        assert res.method == "exact-search"
         assert res.witness.num_colors == 5
         assert verify_mvx_coloring(res.witness, 4)
 
@@ -255,7 +255,7 @@ class TestExactSearch:
         g = prism()
         first = [mvx_exact(g, k) for k in range(2, 7)]
         assert [mvx_exact(g, k) for k in range(2, 7)] == first
-        assert all(mvx_exact(g, r.k) is r is mvx.mvx_profile(g)[r.k - 2] for r in first)
+        assert all(mvx_exact(g, k) is r is mvx.mvx_profile(g)[k - 2] for k, r in enumerate(first, 2))
         assert len({id(r.witness) for r in first}) == len({r.witness.colors for r in first})
         mvx.mvx_profile.cache_clear()
         again = mvx_exact(g, 4)
@@ -344,6 +344,23 @@ class TestExactSearch:
         cc = complement(cycle_graph(n))
         for k in range(3, n + 1):
             assert mvx_exact(cc, k).value == complement_cycle_mvx(n, k), (n, k)
+
+
+def test_every_exact_route_returns_value_and_witness():
+    # the edge search, the vertex search and the cut-vertex route share one
+    # result type, which unpacks as (value, witness) and carries nothing else
+    assert not hasattr(monoindex, "MxResult") and not hasattr(monoindex, "MvxResult")
+    g = bowtie()
+    for route, verify in (
+        (mx_exact_bruteforce, verify_mx_coloring),
+        (mvx_exact, verify_mvx_coloring),
+        (mvx_via_cut_vertex, verify_mvx_coloring),
+    ):
+        res = route(g, 3)
+        assert type(res) is monoindex.IndexResult and res._fields == ("value", "witness")
+        value, witness = res
+        assert (value, witness) == (res.value, res.witness)
+        assert witness.num_colors == value and verify(witness, 3)
 
 
 class TestExtraction:
