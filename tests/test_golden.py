@@ -7,7 +7,9 @@ colorings and certificates must all stay byte-identical, so any drift shows
 up here by command. The witness digests were recorded before the exact
 search built its block lists on demand; they pin every value and witness
 coloring of ``mvx_profile`` for n <= 7 and of ``mx_exact_bruteforce`` for
-3 <= n <= 6 at k = 2 and 3. The survey CSV digests live in
+3 <= n <= 6 at k = 2 and 3. The cut-vertex digest was recorded before that
+route read its witness off a connected dominating set instead of a spanning
+tree. The survey CSV digests live in
 test_acceptance.py, which already holds the n = 5..7 survey records. The
 README's Library block runs here as well, with its printed and commented
 values.
@@ -22,9 +24,10 @@ from pathlib import Path
 
 import monoindex
 from monoindex.cli import build_parser, main
-from monoindex.graphs import enumerate_connected_graphs, to_graph6
-from monoindex.mvx import mvx_profile
+from monoindex.graphs import cut_vertices, enumerate_connected_graphs, enumerate_graphs, to_graph6
+from monoindex.mvx import mvx_profile, mvx_via_cut_vertex
 from monoindex.mx import mx_exact_bruteforce
+from monoindex.reduction import build_gadget
 
 
 def sha256(text: str) -> str:
@@ -163,3 +166,16 @@ def test_mx_exact_witnesses():
                 rows.append((to_graph6(g), k, res.value, res.witness.colors))
     assert len(rows) == 282
     assert witness_digest(rows) == "2f38a97cf736dde623bc6efa4e1abe897e9ad0bc80ae70a368e4030117e60111"
+
+
+def test_cut_vertex_witnesses():
+    # both routes of mvx_via_cut_vertex: 7-vertex graphs with m <= 9 take the
+    # subset scan, denser graphs and every gadget the domination search
+    graphs = [g for n in range(3, 8) for g in enumerate_connected_graphs(n) if cut_vertices(g)]
+    graphs += [build_gadget(s) for n in range(1, 6) for s in enumerate_graphs(n)]
+    rows = []
+    for g in graphs:
+        value, witness = mvx_via_cut_vertex(g, 2)
+        rows.append((to_graph6(g), 2, value, witness.colors))
+    assert len(rows) == 508
+    assert witness_digest(rows) == "2d73939ee2235b013d5bee2b326787c98abe4038361c8fc781143eaa849d4b29"

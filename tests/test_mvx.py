@@ -11,8 +11,10 @@ from monoindex.coloring import VertexColoring, verify_mvx_coloring, verify_mx_co
 from monoindex.graphs import (
     BudgetError,
     Graph,
+    closed_neighborhood,
     complement,
     complete_graph,
+    connected_components,
     cut_vertices,
     cycle_graph,
     enumerate_connected_graphs,
@@ -179,15 +181,29 @@ class TestCutVertexRoute:
             assert verify_mvx_coloring(res.witness, k)
 
     def test_either_route_finds_the_most_leaves(self):
+        # on either route the core leaves the most leaves, n - |core|, and is
+        # connected and dominating
         checked = 0
         for n in range(3, 8):
             for g in enumerate_connected_graphs(n):
                 if cut_vertices(g):
-                    tree = mvx._max_leaf_tree(g)
-                    assert tree.leaf_count == max_leaf_spanning_tree(g).leaf_count, g.edges
-                    assert is_connected(from_edges(n, tree.edges)) and len(tree.edges) == n - 1
+                    core = mvx._max_leaf_core(g)
+                    assert n - core.bit_count() == max_leaf_spanning_tree(g).leaf_count, g.edges
+                    assert connected_components(g, core) == [core]
+                    assert closed_neighborhood(g, core) == g.full_mask
                     checked += 1
         assert checked == 1 + 3 + 11 + 56 + 385
+
+    def test_domination_route_builds_no_tree(self, monkeypatch):
+        # a gadget and K8 both take the domination search, which reads the
+        # value and witness off the core without building a spanning tree
+        def refuse(*args, **kwargs):
+            raise AssertionError("bfs_tree called")
+
+        monkeypatch.setattr(mvx, "bfs_tree", refuse)
+        res = mvx_via_cut_vertex(build_gadget(path_graph(4)), 2)
+        assert res.value == 10 - 3 + 1 and verify_mvx_coloring(res.witness, 2)
+        assert mvx_n_formula(complete_graph(8)) == 8
 
 
 class TestExactSearch:
@@ -393,6 +409,9 @@ class TestExtraction:
         p6 = path_graph(6)
         with pytest.raises(ValueError):
             extract_mono_spanning_tree(VertexColoring(p6, tuple(range(6))), 2)
+        for v0 in (-1, 6):
+            with pytest.raises(ValueError, match=f"vertex {v0} out of range 0..5"):
+                extract_mono_spanning_tree(VertexColoring(p6, (0, 0, 0, 0, 0, 1)), v0)
 
     def test_every_valid_coloring_small_graphs(self):
         # every connected graph with n <= 6, every coloring valid at k=2 and
