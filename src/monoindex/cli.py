@@ -85,8 +85,6 @@ def _cmd_mx(args: argparse.Namespace) -> int:
     _check_witness(args, g)
     k = args.k
     if args.exact or k == 2:
-        if not args.exact:
-            raise ValueError("the closed form covers k >= 3 only; pass --exact for k=2")
         value, witness = mx_exact_bruteforce(g, k)
     else:
         value, witness = mx_k_formula(g, k), construct_extremal_mx(g)
@@ -167,7 +165,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
                 f"  pair sums k=3..6: {[x + y for x, y in zip(a, b)]}\n"
             )
         return 0
-    records = survey_bounds(args.n, include_n8=args.include_n8)
+    records = survey_bounds(args.n)
     if args.k is not None:
         records = [r for r in records if r.k == args.k]
     write_survey_csv(records, sys.stdout)
@@ -240,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="restrict records to one k")
     p.add_argument("--find-f1", action="store_true", help="print the located extremal pair")
-    p.add_argument("--include-n8", action="store_true", help="allow the slow n=8 survey")
 
     p = sub.add_parser("verify", help="check a coloring certificate at k")
     p.set_defaults(func=_cmd_verify)

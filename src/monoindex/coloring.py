@@ -39,8 +39,9 @@ from .graphs import (
 
 # C(n, k) k-sets a verifier may scan; the spanning-tree scan has the same cap
 MAX_VERIFY_SUBSETS = 10_000_000
-# The down-set table holds 2^n ints of 2^n bits: 128 KB at n = 10, 2 MB at
-# n = 12, 512 MB at n = 16. No budget lifts either exact search past this.
+# The down-set table: 2^n ints of up to 2^n bits. Summed sys.getsizeof: 0.09 MiB
+# at n = 10, 1.2 at 12, 17.5 at 14, so about 280 MiB at 16 (x4 per vertex).
+# No budget lifts either exact search past this.
 MAX_KERNEL_VERTICES = 12
 
 
@@ -155,20 +156,9 @@ class VertexColoring(_Coloring):
     _covers = staticmethod(_vertex_covers)
 
 
-def _coverage_targets(g: Graph, k: int):
-    """The k-sets a valid coloring must place in one cover, lazily.
-
-    At k = 2 adjacent pairs are left out: the one-edge tree holds them with
-    no internal vertex, and in an edge coloring the edge's own color does.
-    """
-    for s in k_subsets(g.n, k):
-        if k == 2 and g.adj[(s & -s).bit_length() - 1] & s:
-            continue
-        yield s
-
-
 def _target_bits(g: Graph, k: int) -> int:
-    """``_coverage_targets(g, k)`` as one 2^n-bit int: the k-sets, less the edges."""
+    """The k-sets a valid coloring must place in one cover, as one 2^n-bit
+    int: every k-set less the edges, which a one-edge tree holds."""
     return _k_set_bits(g.n, k) & ~sum(1 << (1 << u | 1 << v) for u, v in g.edges)
 
 
@@ -255,14 +245,6 @@ def _least_excess(
     return out
 
 
-def _all_covered(subsets, masks) -> bool:
-    """Does every subset lie inside at least one of the masks?"""
-    for s in subsets:
-        if not any(mask & s == s for mask in masks):
-            return False
-    return True
-
-
 def _check_index_args(g: Graph, k: int) -> None:
     """Both indices are defined for connected graphs, n >= 2 and 2 <= k <= n."""
     if not is_connected(g):
@@ -299,7 +281,7 @@ def vertex_mono_tree_exists(vc: VertexColoring, s: int) -> bool:
 
 
 def _verify(coloring: _Coloring, k: int) -> bool:
-    """Does every k-set of vertices lie in one cover of the coloring?
+    """Does every k-set of vertices lie in one certifying tree of the coloring?
 
     Refuses, before the first k-set is made, when C(n, k) exceeds
     MAX_VERIFY_SUBSETS.
@@ -310,7 +292,7 @@ def _verify(coloring: _Coloring, k: int) -> bool:
         raise BudgetError(
             f"C({g.n},{k}) vertex subsets exceed the verifier budget of {MAX_VERIFY_SUBSETS}"
         )
-    return _all_covered(_coverage_targets(g, k), coloring._cover_masks)
+    return all(_in_one_tree(coloring, s) for s in k_subsets(g.n, k))
 
 
 def verify_mx_coloring(ec: EdgeColoring, k: int) -> bool:

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .graphs import (
     ENUMERATION_MAX_VERTICES,
-    BudgetError,
     Graph,
     complement,
     complete_bipartite_graph,
@@ -29,8 +28,6 @@ from .graphs import (
     to_graph6,
 )
 from .mvx import _mod4_threshold, connected_domination_number, mvx_profile
-
-DEFAULT_SURVEY_CEILING = 7
 
 
 class SurveyRecord(NamedTuple):
@@ -132,20 +129,16 @@ def _complement_pairs(n: int):
         yield g, vals_g, gbar, values[i] if i is not None else _profile_values(gbar)
 
 
-def survey_bounds(n: int, include_n8: bool = False) -> list[SurveyRecord]:
+def survey_bounds(n: int) -> list[SurveyRecord]:
     """All survey records for n, sorted by (n, g6, k); every verdict must pass.
 
-    n = 8 takes about 8 s (6.5-9.5 s on 2 cores with Python 3.11.7), about
-    half of it enumeration, and sits behind ``include_n8``.
+    n = 8 takes about 4.5 s (2 cores, Python 3.11.7), about 3 s of it enumeration.
     """
-    if not 4 <= n <= ENUMERATION_MAX_VERTICES:
-        raise ValueError(f"survey covers 4 <= n <= {ENUMERATION_MAX_VERTICES}, got n={n}")
-    if n > DEFAULT_SURVEY_CEILING and not include_n8:
-        raise BudgetError("n = 8 takes about 8 s; pass --include-n8")
+    pairs = list(_complement_pairs(n))  # refuses an n out of range before the bounds
     bounds = [(k, expected_lower_bound(n, k) if n >= 5 else None,
                2 * n - 2 if upper_bound_applies(n, k) else None) for k in range(3, n + 1)]
     records = []
-    for g, vals_g, gbar, vals_gbar in _complement_pairs(n):
+    for g, vals_g, gbar, vals_gbar in pairs:
         g6, g6bar = to_graph6(g), to_graph6(gbar)
         for k, lower, upper in bounds:
             a, b = vals_g[k - 2], vals_gbar[k - 2]

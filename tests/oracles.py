@@ -39,7 +39,10 @@ against:
 - ``normalize_by_fresh_colors`` and ``simplify_by_pairs``, the two edge
   recolorings before simplification became normalization of merged
   classes: each gives every edge it frees a fresh color id, and
-  simplification runs one Kruskal pass per overlapping pair of trees.
+  simplification runs one Kruskal pass per overlapping pair of trees;
+- ``coverage_targets``, ``all_covered`` and ``verify_by_cover_scan``, the
+  verifier before it asked the one-tree predicate about every k-set: the
+  k-sets less the adjacent pairs at k = 2, each looked up in the covers.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ from math import comb
 from monoindex import survey
 from monoindex.coloring import (
     EdgeColoring,
-    _all_covered,
-    _coverage_targets,
     _down_sets,
     _edge_covers,
     _renumber,
@@ -78,6 +79,33 @@ from monoindex.graphs import (
 from monoindex.mvx import MAX_TREE_SUBSETS, SpanningTreeResult, mvx_profile
 from monoindex.mx import _subtrees
 from monoindex.partitions import set_partitions_with_blocks
+
+
+def coverage_targets(g: Graph, k: int):
+    """The k-sets a valid coloring must place in one cover, lazily.
+
+    At k = 2 adjacent pairs are left out: the one-edge tree holds them with
+    no internal vertex, and in an edge coloring the edge's own color does.
+    """
+    for combo in itertools.combinations(range(g.n), k):
+        s = mask_from(combo)
+        if k == 2 and g.adj[(s & -s).bit_length() - 1] & s:
+            continue
+        yield s
+
+
+def all_covered(subsets, masks) -> bool:
+    """Does every subset lie inside at least one of the masks?"""
+    for s in subsets:
+        if not any(mask & s == s for mask in masks):
+            return False
+    return True
+
+
+def verify_by_cover_scan(coloring, k: int) -> bool:
+    """``verify_mx_coloring`` / ``verify_mvx_coloring`` without their
+    argument checks: every target k-set inside one of the coloring's covers."""
+    return all_covered(coverage_targets(coloring.graph, k), coloring._cover_masks)
 
 
 def g6_encode(n: int, edges: set[tuple[int, int]]) -> str:
@@ -257,10 +285,10 @@ def mvx_by_rgs_search(g, k: int) -> tuple[int, tuple[int, ...]]:
     checked against the covers in turn. Merging two classes keeps a coloring
     valid, so the first feasible t is the maximum."""
     n = g.n
-    subsets = tuple(_coverage_targets(g, k))
+    subsets = tuple(coverage_targets(g, k))
     for t in range(min(n, n - diameter(g) + 2), 0, -1):
         for colors in set_partitions_with_blocks(n, t):
-            if _all_covered(subsets, _vertex_covers(g, colors)):
+            if all_covered(subsets, _vertex_covers(g, colors)):
                 return t, colors
     raise RuntimeError("unreachable: one color is always valid on a connected graph")
 
@@ -344,7 +372,7 @@ def mvx_profile_by_mask_scan(g) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """``mvx_profile`` as the library first built its tables: one pass over
     every mask for the closed neighborhoods and for connectivity (a reach
     grown inside the mask), the blocks grouped by size from a dict in mask
-    order, a closure-walk diameter and each k's targets from ``_coverage_targets``,
+    order, a closure-walk diameter and each k's targets from ``coverage_targets``,
     searched by ``least_excess_eager``. Callers check connectivity and the
     budget first."""
     n, adj = g.n, g.adj
@@ -366,7 +394,7 @@ def mvx_profile_by_mask_scan(g) -> tuple[tuple[int, tuple[int, ...]], ...]:
     levels: list[list[int]] = [[] for _ in range(n)]
     for b in blocks:
         levels[b.bit_count() - 1].append(b)
-    target_sets = [sum(1 << s for s in _coverage_targets(g, k)) & ~base for k in range(2, n + 1)]
+    target_sets = [sum(1 << s for s in coverage_targets(g, k)) & ~base for k in range(2, n + 1)]
     found = least_excess_eager(
         n,
         n,
@@ -388,10 +416,10 @@ def mx_by_rgs_search(g, k: int):
     t is the maximum. Partitions come as restricted growth strings, one per
     relabeling class. Callers check the arguments and their budget first.
     """
-    subsets = tuple(_coverage_targets(g, k))
+    subsets = tuple(coverage_targets(g, k))
     for t in range(g.m, 0, -1):
         for colors in set_partitions_with_blocks(g.m, t):
-            if _all_covered(subsets, _edge_covers(g, colors)):
+            if all_covered(subsets, _edge_covers(g, colors)):
                 return t, colors
     raise RuntimeError("unreachable: one color is always valid on a connected graph")
 

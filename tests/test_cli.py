@@ -57,9 +57,13 @@ class TestMx:
         code, out, _ = run_cli(capsys, "mx", "--graph", "C~", "--k", "2", "--exact")
         assert code == 0 and out.strip() == "6"
 
-    def test_k2_without_exact_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "mx", "--graph", "C~", "--k", "2")
-        assert code == 2 and "exact" in err
+    def test_k2_runs_the_exact_search(self, capsys, tmp_path):
+        # the closed form starts at k = 3, so k = 2 needs no --exact
+        plain, exact = tmp_path / "plain.txt", tmp_path / "exact.txt"
+        code, out, _ = run_cli(capsys, "mx", "--graph", "C~", "--k", "2", "--witness", str(plain))
+        assert (code, out) == (0, "6\n")
+        run_cli(capsys, "mx", "--graph", "C~", "--k", "2", "--exact", "--witness", str(exact))
+        assert plain.read_bytes() == exact.read_bytes()
 
     def test_witness_file(self, capsys, tmp_path):
         witness = tmp_path / "cert.txt"
@@ -197,7 +201,7 @@ class TestSurveyAndEnumerate:
             n=5, k=3, g6="DLo", g6_complement="DLo", mvx_g=2, mvx_gbar=3, sum=5,
             lower_bound=6, upper_bound=None, verdict="fail",
         )
-        monkeypatch.setattr(cli, "survey_bounds", lambda n, include_n8=False: [bad])
+        monkeypatch.setattr(cli, "survey_bounds", lambda n: [bad])
         code, out, err = run_cli(capsys, "survey", "--n", "5")
         assert code == 1
         assert out.splitlines()[1:] == ["5,3,DLo,DLo,2,3,5,6,na,fail"]
@@ -311,13 +315,15 @@ class TestErrors:
         code, out, err = run_cli(capsys, "survey", "--n", n, "--find-f1")
         assert code == 2 and out == "" and err.startswith("error:") and "--n 6" in err
 
-    def test_survey_n8_without_opt_in_names_the_flag(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("n", ["9", "3", "-1"])
+    def test_survey_n_out_of_range_exits_2_before_any_enumeration(self, capsys, monkeypatch, n):
         def no_enumeration(*args, **kwargs):
-            raise AssertionError("survey enumerated n = 8 without --include-n8")
+            raise AssertionError("survey enumerated an n out of range")
 
-        monkeypatch.setattr(survey, "enumerate_coconnected", no_enumeration)
-        code, out, err = run_cli(capsys, "survey", "--n", "8")
-        assert (code, out) == (2, "") and err.startswith("error:") and "--include-n8" in err
+        monkeypatch.setattr(survey, "enumerate_connected_graphs", no_enumeration)
+        code, out, err = run_cli(capsys, "survey", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: co-connected enumeration covers 4 <= n <= 8, got n={n}\n"
 
     def test_survey_find_f1_refuses_k(self, capsys, monkeypatch):
         def no_enumeration(*args, **kwargs):
@@ -338,6 +344,7 @@ class TestErrors:
             ("mvx", "--graph", "Ch", "--k", "3", "--exact"),
             ("survey", "--n", "4", "--csv", "out.csv"),
             ("reduce", "--graph", "Bw", "--k", "1", "--emit-gadget", "g.g6"),
+            ("survey", "--n", "8", "--include-n8"),
         ],
     )
     def test_removed_options_are_usage_errors(self, capsys, argv):

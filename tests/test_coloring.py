@@ -24,6 +24,8 @@ from monoindex.graphs import (
     mask_from,
     path_graph,
 )
+from monoindex.mvx import mvx_profile
+from monoindex.mx import construct_extremal_mx, mx_exact_bruteforce
 
 import oracles
 
@@ -163,6 +165,42 @@ class TestVerifiers:
             verify_mvx_coloring(vc, 3)
         monkeypatch.setattr(coloring, "MAX_VERIFY_SUBSETS", 10)
         assert verify_mx_coloring(ec, 3) and verify_mvx_coloring(vc, 3)
+
+    def test_agrees_with_cover_scan(self):
+        # seeded colorings of every connected graph with n <= 6; the examples
+        # above; each exact witness at its k, which is valid, and the same
+        # witness with one element split off into a new color, which is not
+        rng = random.Random(27)
+        g4, c6, p4 = complete_graph(4), cycle_graph(6), path_graph(4)
+        cases = [(c, k, None) for c in (
+            spanning_path_coloring_c5(), all_distinct_edges(cycle_graph(5)),
+            EdgeColoring(g4, (0,) * g4.m), all_distinct_vertices(g4),
+            all_distinct_vertices(c6), VertexColoring(p4, (1, 0, 0, 2)),
+        ) for k in range(2, c.graph.n + 1)]
+        for n in range(2, 7):
+            for g in enumerate_connected_graphs(n):
+                for _ in range(3):
+                    for kind, size in ((EdgeColoring, g.m), (VertexColoring, n)):
+                        colors = tuple(rng.randrange(rng.randint(1, size)) for _ in range(size))
+                        cases += [(kind(g, colors), k, None) for k in range(2, n + 1)]
+                witnesses = [(r.witness, k) for k, r in enumerate(mvx_profile(g), 2)]
+                if n <= 5:
+                    witnesses.append((mx_exact_bruteforce(g, 2).witness, 2))
+                witnesses += [(construct_extremal_mx(g), k) for k in range(3, n + 1)]
+                for w, k in witnesses:
+                    cases.append((w, k, True))
+                    i = next((i for i, c in enumerate(w.colors) if w.colors.count(c) > 1), None)
+                    if i is not None:
+                        split = list(w.colors)
+                        split[i] = max(split) + 1
+                        cases.append((type(w)(g, tuple(split)), k, False))
+        verdicts = {}
+        for c, k, expected in cases:
+            verify = verify_mx_coloring if isinstance(c, EdgeColoring) else verify_mvx_coloring
+            got = verify(c, k)
+            assert got == oracles.verify_by_cover_scan(c, k) and expected in (None, got), (c, k)
+            verdicts[c._kind, got] = verdicts.get((c._kind, got), 0) + 1
+        assert len(verdicts) == 4, verdicts
 
     def test_merge_monotone_smoke(self):
         # detailed randomized sweep lives in the acceptance suite

@@ -32,6 +32,11 @@ from monoindex.survey import (
 
 import oracles
 
+# the cube Q3, the Wagner graph and their two complements, in canonical form
+_CUBE = from_edges(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+_WAGNER = from_edges(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+CUBE_AND_WAGNER = [canonical_form(g) for g in (_CUBE, _WAGNER, complement(_CUBE), complement(_WAGNER))]
+
 
 class TestCoconnected:
     def test_n4_is_exactly_p4(self):
@@ -125,12 +130,6 @@ class TestSurvey:
         assert SurveyRecord.grade(11, 8, 10) == "fail"
         assert SurveyRecord.grade(3, None, None) == "pass"
 
-    def test_n8_gated(self):
-        from monoindex.graphs import BudgetError
-
-        with pytest.raises(BudgetError):
-            survey_bounds(8)
-
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_matches_two_profile_oracle(self, n):
         assert survey_bounds(n) == oracles.survey_by_two_profiles(n)
@@ -152,16 +151,22 @@ class TestSurvey:
         # the cube Q3 and the Wagner graph are both 3-regular and triangle-free
         # on 8 vertices, so their invariants agree, yet their profiles differ;
         # reusing either one's values for the other's complement is wrong
-        cube = from_edges(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
-        wagner = from_edges(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+        cube, wagner = CUBE_AND_WAGNER[:2]
         assert survey._invariant_hash(cube) == survey._invariant_hash(wagner)
         assert [r.value for r in mvx_profile(cube)] == [6, 5, 5, 5, 5, 5, 5]
         assert [r.value for r in mvx_profile(wagner)] == [8, 6, 6, 6, 6, 6, 6]
-        graphs = [canonical_form(g) for g in (cube, wagner, complement(cube), complement(wagner))]
-        monkeypatch.setattr(survey, "enumerate_coconnected", lambda n: iter(graphs))
-        records = survey_bounds(8, include_n8=True)
+        monkeypatch.setattr(survey, "enumerate_coconnected", lambda n: iter(CUBE_AND_WAGNER))
+        records = survey_bounds(8)
         assert len(records) == 4 * 6
         assert records == oracles.survey_by_two_profiles(8)
+
+    def test_n8_runs_without_opt_in(self, capsys, monkeypatch):
+        monkeypatch.setattr(survey, "enumerate_coconnected", lambda n: iter(CUBE_AND_WAGNER))
+        assert main(["survey", "--n", "8"]) == 0
+        out = io.StringIO()
+        write_survey_csv(survey_bounds(8), out)
+        assert capsys.readouterr().out == out.getvalue()
+        assert len(out.getvalue().splitlines()) == 1 + 4 * 6
 
     def test_pair_identity_n6(self):
         # for co-connected pairs the k=n sum equals 2n+2 minus the
