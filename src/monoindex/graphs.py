@@ -294,14 +294,21 @@ def parse_graph6(text: str) -> Graph:
         if not 0 <= val <= 63:
             raise Graph6Error(f"byte {off}: data byte {ord(ch)} outside printable range")
         data = data << 6 | val
-    pos = 6 * need  # pair p is bit pos - 1 - p, above the padding
-    if data & ((1 << (pos - n * (n - 1) // 2)) - 1):
+    padding = 6 * need - n * (n - 1) // 2
+    if data & ((1 << padding) - 1):
         raise Graph6Error(f"byte {need}: nonzero padding bits")
+    return _from_columns(n, data >> padding)
+
+
+def _from_columns(n: int, bits: int) -> Graph:
+    """The graph whose n(n-1)/2 adjacency bits, in graph6 column order with
+    the first bit most significant, are ``bits``."""
     rows = [0] * n
+    pos = n * (n - 1) // 2  # pair p is bit pos - 1 - p
     for j in range(1, n):
         for i in range(j):
             pos -= 1
-            if data >> pos & 1:
+            if bits >> pos & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph(n, tuple(rows))
@@ -368,26 +375,20 @@ def canonical_code(g: Graph) -> int:
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of g (the enumeration representative)."""
-    return _relabel(g.adj, _canonical(g.adj)[1])
+    return _from_columns(g.n, canonical_code(g))
 
 
-def _relabel(adj: tuple[int, ...], order: tuple[int, ...]) -> Graph:
-    """The graph whose vertex i is vertex order[i] of adj."""
-    at = {u: i for i, u in enumerate(order)}
-    return Graph(len(adj), tuple(mask_from(at[w] for w in iter_bits(adj[u])) for u in order))
+def _canonical(adj: tuple[int, ...]) -> tuple[int, set[tuple[int, ...]]]:
+    """(code, automorphisms of the canonical graph) for the graph with these
+    rows; each automorphism is a tuple p sending vertex i to p[i].
 
-
-def _canonical(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...], list]:
-    """(code, canonical order, moves) for the graph with these rows.
-
-    The canonical graph puts vertex order[i] at i. Each move is a pair of
-    orders p, q over one vertex set with the same code and the same edges
-    to the rest; p[i] -> q[i], fixing every other vertex, is an automorphism
-    of the graph (``_automorphisms`` relabels them onto the canonical graph).
+    The search meets them as moves: pairs of orders p, q over one vertex set
+    with the same code and the same edges to the rest, so p[i] -> q[i],
+    fixing every other vertex, is an automorphism of the graph. The
+    canonical graph puts vertex order[i] at i, and the tail relabels each
+    move onto it.
     """
     n = len(adj)
-    if n == 1:
-        return 0, (0,), []
     full = (1 << n) - 1
     # Orderings are grown one position at a time; the frontier holds every
     # ordering prefix that still achieves the minimal bitstring.
@@ -434,25 +435,14 @@ def _canonical(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...], list]:
         code = code << pos | best
     order = frontier[0][0]
     moves.extend((other, order) for other, _ in frontier[1:])
-    return code, order, moves
-
-
-def _automorphisms(order: tuple[int, ...], moves: list) -> set[tuple[int, ...]]:
-    """The moves of one canonical search as automorphisms of its canonical
-    graph, each a tuple p sending vertex i to p[i]."""
     at = {u: i for i, u in enumerate(order)}
     auts = set()
     for p, q in moves:
-        perm = list(range(len(order)))
+        perm = list(range(n))
         for a, b in zip(p, q):
             perm[at[a]] = at[b]
         auts.add(tuple(perm))
-    return auts
-
-
-def _reps(n: int, connected: bool) -> tuple[Graph, ...]:
-    """Canonical representatives on n vertices in ascending canonical code."""
-    return tuple(g for g, _ in _classes(n, connected))
+    return code, auts
 
 
 @lru_cache(maxsize=None)
@@ -516,10 +506,10 @@ def _classes(n: int, connected: bool) -> tuple[tuple[Graph, frozenset], ...]:
                 for u in range(v)
             ):
                 continue
-            code, order, moves = _canonical(adj)
+            code, auts = _canonical(adj)
             if code not in found:
-                found[code] = (_relabel(adj, order), set())
-            found[code][1].update(_automorphisms(order, moves))
+                found[code] = (_from_columns(n, code), set())
+            found[code][1].update(auts)
     return tuple((g, frozenset(a)) for _, (g, a) in sorted(found.items()))
 
 
@@ -529,9 +519,9 @@ def enumerate_connected_graphs(n: int):
     Representatives are canonically labeled and stream in ascending canonical
     code, so the order is reproducible byte for byte.
     """
-    yield from _reps(n, True)
+    yield from (g for g, _ in _classes(n, True))
 
 
 def enumerate_graphs(n: int):
     """Like enumerate_connected_graphs but without the connectivity filter."""
-    yield from _reps(n, False)
+    yield from (g for g, _ in _classes(n, False))

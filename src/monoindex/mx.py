@@ -59,8 +59,6 @@ def construct_extremal_mx(g: Graph) -> EdgeColoring:
     """
     if not is_connected(g):
         raise ValueError("extremal construction needs a connected graph")
-    if g.n == 1:
-        return EdgeColoring(g, ())
     tree_edges, fresh = set(bfs_tree(g, 0)), count(1)
     return EdgeColoring(g, tuple(0 if e in tree_edges else next(fresh) for e in g.edges))
 

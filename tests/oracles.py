@@ -27,9 +27,10 @@ against:
   an array union-find per subset that stops at the first cycle;
 - the earlier canonical searches and enumerators: ``canonical_by_columns``
   builds every unplaced vertex's column bit by bit,
-  ``canonical_with_automorphisms`` is the library's search before it
-  returned its canonical order (it relabels the graph and converts its
-  moves into permutations on every call), ``reps_by_invariant_filter``
+  ``canonical_with_automorphisms`` is the library's search before the
+  canonical graph was decoded from its code (it relabels the graph by the
+  canonical order, and it keeps each move once before converting the moves
+  into permutations), ``reps_by_invariant_filter``
   extends a parent by every neighborhood that passes the invariant filter
   (with the column search), and ``reps_by_full_extension`` canonicalizes
   every one-vertex extension of every parent;
@@ -428,9 +429,9 @@ def canonical_with_automorphisms(g: Graph) -> tuple[int, Graph, frozenset[tuple[
     """(code, canonical graph, automorphisms of the canonical graph that the
     search met on the way, each a tuple p sending vertex i to p[i]).
 
-    The library's canonical search before it returned its canonical order
-    and left converting moves to the enumerator: every call relabels the
-    graph and turns its moves into permutations."""
+    The library's canonical search before it decoded the canonical graph
+    from its code: it relabels the graph by the canonical order, and it
+    turns each distinct move into a permutation once."""
     n = g.n
     if n == 1:
         return 0, g, frozenset()

@@ -130,6 +130,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--coloring", "/nonexistent", "--k", "3")
         assert code == 2 and "error" in err
 
+    def test_blank_lines_and_comments_are_skipped(self, capsys, tmp_path):
+        cert = tmp_path / "cert.txt"
+        cert.write_text(
+            "# K3, one color\n\ngraph6: Bw\n\ntype: vertex\n0 -> 0\n1 -> 0  # comment\n2 -> 0\n\n"
+        )
+        code, out, _ = run_cli(capsys, "verify", "--coloring", str(cert), "--k", "3")
+        assert code == 0 and out == "valid\n"
+
 
 class TestReduceAndGadget:
     def test_decision_yes_no(self, capsys):
@@ -379,6 +387,32 @@ class TestErrors:
         cert.write_text("\n".join(["graph6: Bw", *lines]) + "\n")
         code, out, err = run_cli(capsys, "verify", "--coloring", str(cert), "--k", "3")
         assert code == 2 and out == "" and err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "name, text, argv, message",
+        [
+            ("g.txt", "5\n", ("mvx", "--k", "2"), "edge list needs a leading 'n m' line"),
+            ("g.txt", "3 1\n0 5\n", ("mvx", "--k", "2"), "edge 0-5 out of range for n=3"),
+            (
+                "cert.txt",
+                "graph6: Bw\ntype: vertex\nhello\n0 -> 0\n1 -> 0\n2 -> 0\n",
+                ("verify", "--k", "3"),
+                "line 3: unrecognized certificate line 'hello'",
+            ),
+        ],
+    )
+    def test_malformed_file_names_its_fault(self, capsys, tmp_path, name, text, argv, message):
+        path = tmp_path / name
+        path.write_text(text)
+        flag = "--coloring" if argv[0] == "verify" else "--graph"
+        code, out, err = run_cli(capsys, *argv, flag, str(path))
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    def test_reduce_names_the_subset_budget(self, capsys):
+        # the gadget of C10 has 22 vertices, two past the subset search's budget
+        code, out, err = run_cli(capsys, "reduce", "--graph", to_graph6(cycle_graph(10)), "--k", "1")
+        assert code == 2 and out == ""
+        assert err == "error: subset search over 22 vertices exceeds the budget of 20\n"
 
     def test_bound_on_a_long_path_is_quick(self, tmp_path):
         # the diameter walk expands only each new frontier: 800 BFS of 800 steps

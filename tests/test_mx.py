@@ -13,6 +13,7 @@ from monoindex.coloring import (
 )
 from monoindex.graphs import (
     BudgetError,
+    Graph,
     complete_graph,
     cycle_graph,
     enumerate_connected_graphs,
@@ -85,6 +86,9 @@ class TestConstruction:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             construct_extremal_mx(from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_one_vertex_has_no_colors(self):
+        assert construct_extremal_mx(Graph(1, (0,))).colors == ()
 
 
 class TestSimplify:
