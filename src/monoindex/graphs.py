@@ -449,9 +449,9 @@ def _canonical(adj: tuple[int, ...]) -> tuple[int, set[tuple[int, ...]]]:
 def _classes(n: int, connected: bool) -> tuple[tuple[Graph, frozenset], ...]:
     """Each representative with the automorphisms its canonical searches found.
 
-    Each (n-1)-vertex representative is extended by the least neighborhood
-    in each orbit of its known automorphisms, as the neighborhood of a new
-    last vertex v = n - 1, and a child is canonicalized only if no vertex u
+    Each (n-1)-vertex representative P is extended by every mask that no
+    known automorphism of P maps lower, as the neighborhood of a new last
+    vertex v = n - 1, and a child is canonicalized only if no vertex u
     whose deletion keeps the kind has f(u) > f(v), where f(u) is (deg u,
     sum of the degrees of u's neighbors): for connected graphs those u are
     the non-cut vertices, else every vertex.
@@ -460,12 +460,13 @@ def _classes(n: int, connected: bool) -> tuple[tuple[Graph, frozenset], ...]:
     connected graph on two or more vertices has a non-cut vertex). G - w
     has the same kind, so some parent P is its canonical copy, and that
     isomorphism with w -> v makes a child P + v isomorphic to G, in which
-    v maximizes f because f and the kind of a deletion are invariant. An
-    automorphism of P carries that neighborhood to any other in its orbit
-    and gives an isomorphic child in which v still maximizes f, so the
-    orbit's least one serves. Ties pass, and the dict keyed by canonical
-    code drops the duplicates, so the output is what canonicalizing every
-    child would give.
+    v maximizes f because f and the kind of a deletion are invariant.
+    Automorphisms of P carry that mask over its orbit, each image giving an
+    isomorphic child in which v still maximizes f, and the orbit's least
+    mask has no image below it, so it is extended. Other masks that pass,
+    and ties, give children isomorphic to ones already made: the dict keyed
+    by canonical code drops them at the cost of a canonical search, so the
+    output is what canonicalizing every child would give.
     """
     if not 1 <= n <= ENUMERATION_MAX_VERTICES:
         raise BudgetError(
@@ -475,27 +476,19 @@ def _classes(n: int, connected: bool) -> tuple[tuple[Graph, frozenset], ...]:
         return ((Graph(1, (0,)), frozenset()),)
     v = n - 1
     found: dict[int, tuple[Graph, set]] = {}
-    for parent, auts in _classes(v, connected):
+    for parent, perms in _classes(v, connected):
         # u is a non-cut vertex of parent + v iff v meets every part of parent - u
         parts = [connected_components(parent, parent.full_mask & ~(1 << u)) for u in range(v)]
         images = []  # images[k][mask]: mask moved by the k-th automorphism
-        for perm in auts:
+        for perm in perms:
             image = [0] * (1 << v)
             for mask in range(1, 1 << v):
                 low = mask & -mask
                 image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
             images.append(image)
-        seen = bytearray(1 << v)
         for mask in range(int(connected), 1 << v):
-            if seen[mask]:
+            if any(image[mask] < mask for image in images):
                 continue
-            orbit = [mask]
-            seen[mask] = 1
-            for other in orbit:
-                for image in images:
-                    if not seen[image[other]]:
-                        seen[image[other]] = 1
-                        orbit.append(image[other])
             adj = tuple(parent.adj[i] | (mask >> i & 1) << v for i in range(v)) + (mask,)
             deg = [row.bit_count() for row in adj]
             dv, sv = deg[v], sum(deg[w] for w in iter_bits(mask))

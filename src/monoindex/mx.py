@@ -41,8 +41,6 @@ MAX_SUBTREES = 500_000  # K8 has 441,176 subtrees of two or more edges, K9 more
 def mx_k_formula(g: Graph, k: int) -> int:
     """m - n + 2, valid for 3 <= k <= n on connected graphs with n >= 3."""
     _check_index_args(g, k)
-    if g.n < 3:
-        raise ValueError("the closed form needs n >= 3")
     if k < 3:
         raise ValueError(
             "the closed form covers 3 <= k <= n only; for k=2 the index can "

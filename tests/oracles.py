@@ -32,8 +32,10 @@ against:
   canonical order, and it keeps each move once before converting the moves
   into permutations), ``reps_by_invariant_filter``
   extends a parent by every neighborhood that passes the invariant filter
-  (with the column search), and ``reps_by_full_extension`` canonicalizes
-  every one-vertex extension of every parent;
+  (with the column search), ``reps_by_full_extension`` canonicalizes
+  every one-vertex extension of every parent, and ``children_by_orbit_walk``
+  lists the children the enumerator canonicalized when it walked every
+  orbit of a parent's known automorphisms and extended its least mask;
 - ``survey_by_two_profiles``, the survey loop before it reused a
   representative's index profile for the complement in its class: two
   profiles per co-connected class;
@@ -67,6 +69,7 @@ from monoindex.graphs import (
     BudgetError,
     Graph,
     Graph6Error,
+    _classes,
     closed_neighborhood,
     complement,
     connected_components,
@@ -602,6 +605,49 @@ def reps_by_invariant_filter(n: int, connected: bool) -> tuple[Graph, ...]:
             if code not in found:
                 found[code] = canon
     return tuple(g for _, g in sorted(found.items()))
+
+
+def children_by_orbit_walk(n: int, connected: bool) -> list[tuple[int, ...]]:
+    """The rows of the n-vertex children the orbit-walk enumerator
+    canonicalized, in order.
+
+    Each parent of ``_classes(n - 1, connected)`` is extended by the least
+    neighborhood in each orbit of its known automorphisms, found by walking
+    the orbit through the automorphisms' image tables, and the child is
+    listed if it passes the invariant filter of ``reps_by_invariant_filter``.
+    """
+    v = n - 1
+    children = []
+    for parent, perms in _classes(v, connected):
+        parts = [connected_components(parent, parent.full_mask & ~(1 << u)) for u in range(v)]
+        images = []
+        for perm in perms:
+            image = [0] * (1 << v)
+            for mask in range(1, 1 << v):
+                low = mask & -mask
+                image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+            images.append(image)
+        seen = bytearray(1 << v)
+        for mask in range(int(connected), 1 << v):
+            if seen[mask]:
+                continue
+            orbit = [mask]
+            seen[mask] = 1
+            for other in orbit:
+                for image in images:
+                    if not seen[image[other]]:
+                        seen[image[other]] = 1
+                        orbit.append(image[other])
+            adj = tuple(parent.adj[i] | (mask >> i & 1) << v for i in range(v)) + (mask,)
+            deg = [row.bit_count() for row in adj]
+            dv, sv = deg[v], sum(deg[w] for w in iter_bits(mask))
+            if not any(
+                (deg[u] > dv or deg[u] == dv and sum(deg[w] for w in iter_bits(adj[u])) > sv)
+                and (not connected or all(part & mask for part in parts[u]))
+                for u in range(v)
+            ):
+                children.append(adj)
+    return children
 
 
 def max_leaf_by_array_union_find(g: Graph) -> SpanningTreeResult:

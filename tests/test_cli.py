@@ -399,6 +399,12 @@ class TestErrors:
                 ("verify", "--k", "3"),
                 "line 3: unrecognized certificate line 'hello'",
             ),
+            (
+                "cert.txt",
+                "graph6: Bw\ntype: vertex\n0 -> 0\n1 -> -1\n2 -> 0\n",
+                ("verify", "--k", "3"),
+                "color ids must be non-negative",
+            ),
         ],
     )
     def test_malformed_file_names_its_fault(self, capsys, tmp_path, name, text, argv, message):

@@ -68,6 +68,8 @@ class TestColoringTypes:
         assert ec.colors == (0, 1, 0)
         vc = VertexColoring(g, (0, 1, 2, 3)).merged(1, 3)
         assert vc.colors == (0, 1, 2, 1)
+        with pytest.raises(ValueError, match="merge needs two distinct color ids"):
+            EdgeColoring(path_graph(3), (0, 1)).merged(1, 1)
 
 
     def test_kinds_stay_apart(self):

@@ -52,18 +52,25 @@ def is_automorphism(g: Graph, perm) -> bool:
     )
 
 
-def count_canonical_calls(monkeypatch, n: int, connected: bool) -> tuple[int, int]:
-    """(classes, canonical searches) of a cold enumeration of every level up to n."""
-    calls = [0]
+def spy_canonical(monkeypatch) -> list[tuple[int, ...]]:
+    """The rows of every graph enumeration canonicalizes from now on, in
+    order; the enumeration cache is cleared, so every level runs cold."""
+    children = []
     canonical = graphs._canonical
 
-    def counted(g):
-        calls[0] += 1
-        return canonical(g)
+    def spy(adj):
+        children.append(adj)
+        return canonical(adj)
 
-    monkeypatch.setattr(graphs, "_canonical", counted)
+    monkeypatch.setattr(graphs, "_canonical", spy)
     graphs._classes.cache_clear()  # every level's representatives live in this cache
-    return len(graphs._classes(n, connected)), calls[0]
+    return children
+
+
+def count_canonical_calls(monkeypatch, n: int, connected: bool) -> tuple[int, int]:
+    """(classes, canonical searches) of a cold enumeration of every level up to n."""
+    children = spy_canonical(monkeypatch)
+    return len(graphs._classes(n, connected)), len(children)
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +92,8 @@ class TestGraphBasics:
             Graph(2, (0, 2))
         with pytest.raises(ValueError, match="loop at vertex 0"):
             from_edges(2, [(0, 0)])
+        with pytest.raises(ValueError, match="cycles need at least 3 vertices"):
+            cycle_graph(2)
 
     def test_edges_sorted(self):
         g = complete_graph(4)
@@ -370,15 +379,7 @@ class TestEnumeration:
         # relabeled and converted on every call, give the same representatives
         # with the same automorphism sets; level by level, so every level's
         # children and canonical calls are those of that search's enumerator
-        children = []
-        canonical = graphs._canonical
-
-        def spy(adj):
-            children.append(adj)
-            return canonical(adj)
-
-        monkeypatch.setattr(graphs, "_canonical", spy)
-        graphs._classes.cache_clear()
+        children = spy_canonical(monkeypatch)
         for n in range(2, 8):
             children.clear()
             got = graphs._classes(n, connected)
@@ -387,6 +388,19 @@ class TestEnumeration:
                 code, canon, auts = oracles.canonical_with_automorphisms(Graph(n, adj))
                 want.setdefault(code, (canon, set()))[1].update(auts)
             assert got == tuple((g, frozenset(a)) for _, (g, a) in sorted(want.items())), n
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_children_match_the_orbit_walk_oracle(self, monkeypatch, connected):
+        # a mask no known automorphism maps lower is extended; at every level
+        # that canonicalizes exactly the children the walk over each orbit
+        # did, so the work is unchanged (n = 8 is pinned in CI)
+        children = spy_canonical(monkeypatch)
+        calls = [1, 2, 6, 21, 114, 905] if connected else [2, 4, 11, 34, 159, 1096]
+        for n, want in zip(range(2, 8), calls):
+            children.clear()
+            graphs._classes(n, connected)
+            assert len(children) == want, n
+            assert children == oracles.children_by_orbit_walk(n, connected), n
 
     @pytest.mark.parametrize("connected", [True, False])
     def test_pruning_permutations_are_automorphisms(self, connected):

@@ -58,6 +58,10 @@ class TestMaxLeaf:
         assert max_leaf_spanning_tree(path_graph(5)).leaf_count == 2
         assert max_leaf_spanning_tree(prism()).leaf_count == 4
 
+    def test_domain(self):
+        with pytest.raises(ValueError, match="spanning trees need a connected graph on >= 2"):
+            max_leaf_spanning_tree(from_edges(4, [(0, 1), (2, 3)]))
+
     def test_result_is_spanning_tree(self):
         res = max_leaf_spanning_tree(prism())
         assert len(res.edges) == 5
@@ -98,6 +102,9 @@ class TestFormulas:
         assert mvx_n_formula(path_graph(5)) == 3
         assert mvx_n_formula(star_graph(5)) == 5
         assert mvx_n_formula(cycle_graph(6)) == 3
+        # load-bearing: the scan route would give 3 on P2, but mvx_2(P2) = 2
+        with pytest.raises(ValueError, match="the spanning-tree formula needs n >= 3"):
+            mvx_n_formula(path_graph(2))
 
     def test_mvx_n_formula_skips_the_subset_scan(self, monkeypatch):
         # K8 has C(28, 7) = 1,184,040 edge sets; connected domination answers
@@ -123,6 +130,8 @@ class TestFormulas:
         assert complement_cycle_mvx(10, 6) == 9
         with pytest.raises(ValueError):
             complement_cycle_mvx(5, 3)
+        with pytest.raises(ValueError, match=r"^k=2 out of range 3\.\.8$"):
+            complement_cycle_mvx(8, 2)
 
     def test_diameter_bound(self):
         assert diameter_upper_bound(complete_graph(4)) == 5

@@ -55,6 +55,9 @@ class TestFormula:
     def test_domain(self):
         with pytest.raises(ValueError, match="k=2"):
             mx_k_formula(complete_graph(4), 2)
+        # at n = 2 the index arguments force k = 2
+        with pytest.raises(ValueError, match="covers 3 <= k <= n only"):
+            mx_k_formula(path_graph(2), 2)
         with pytest.raises(ValueError):
             mx_k_formula(complete_graph(4), 5)
         with pytest.raises(ValueError):
@@ -120,6 +123,10 @@ class TestSimplify:
         assert out.num_colors > ec.num_colors
         assert is_simple(out)
         assert verify_mx_coloring(out, 3)
+
+    def test_rejects_invalid_input(self):
+        with pytest.raises(ValueError, match="input coloring is not valid at k=3"):
+            simplify_coloring(EdgeColoring(path_graph(3), (0, 1)), 3)
 
     def test_rejects_non_forest(self):
         c4 = cycle_graph(4)
