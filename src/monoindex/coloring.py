@@ -20,13 +20,13 @@ handled as the explicit small cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from math import comb
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 from typing import NamedTuple
 
 from .graphs import (
-    BudgetError,
     Graph,
+    _least_set,
     closed_neighborhood,
     connected_components,
     edge_forest,
@@ -37,8 +37,6 @@ from .graphs import (
     to_graph6,
 )
 
-# C(n, k) k-sets a verifier may scan; the spanning-tree scan has the same cap
-MAX_VERIFY_SUBSETS = 10_000_000
 # The down-set table: 2^n ints of up to 2^n bits. Summed sys.getsizeof: 0.09 MiB
 # at n = 10, 1.2 at 12, 17.5 at 14, so about 280 MiB at 16 (x4 per vertex).
 # No budget lifts either exact search past this.
@@ -283,16 +281,24 @@ def vertex_mono_tree_exists(vc: VertexColoring, s: int) -> bool:
 def _verify(coloring: _Coloring, k: int) -> bool:
     """Does every k-set of vertices lie in one certifying tree of the coloring?
 
-    Refuses, before the first k-set is made, when C(n, k) exceeds
-    MAX_VERIFY_SUBSETS.
+    At k >= 3 a set lies in no cover iff it meets every miss V - M of the
+    covers M, and pads out to a k-set that does too: so the coloring is
+    valid iff some cover is V or no set of at most k vertices meets them all.
     """
     g = coloring.graph
     _check_index_args(g, k)
-    if comb(g.n, k) > MAX_VERIFY_SUBSETS:
-        raise BudgetError(
-            f"C({g.n},{k}) vertex subsets exceed the verifier budget of {MAX_VERIFY_SUBSETS}"
+    full, covers = g.full_mask, coloring._cover_masks
+    if k == 2:  # each vertex shares a cover with every non-neighbour
+        return all(
+            reduce(or_, (c for c in covers if c >> v & 1), g.adj[v] | 1 << v) == full
+            for v in range(g.n)
         )
-    return all(_in_one_tree(coloring, s) for s in k_subsets(g.n, k))
+    misses = [full & ~cover for cover in covers]
+    if not all(misses):
+        return True
+    rows = [sum(1 << i for i, miss in enumerate(misses) if miss >> v & 1) for v in range(g.n)]
+    misses.append(0)  # need: the lowest miss that r does not name, 0 once it names all
+    return _least_set(rows, lambda d, r: misses[(~r & r + 1).bit_length() - 1], k) is None
 
 
 def verify_mx_coloring(ec: EdgeColoring, k: int) -> bool:

@@ -20,6 +20,8 @@ ENUMERATION_MAX_VERTICES = 8
 EDGE_LIST_MAX_VERTICES = 10_000
 # cut_vertices and diameter walk once from each vertex, about n^3 bit operations
 MAX_WALK_VERTICES = 1_000
+# vertex sets one _least_set search may visit
+MAX_SEARCH_NODES = 10_000_000
 
 
 class Graph6Error(ValueError):
@@ -233,6 +235,36 @@ def diameter(g: Graph) -> int:
         while frontier := closed_neighborhood(g, frontier) & ~seen:
             seen, dist = seen | frontier, dist + 1
         best = max(best, dist)
+    return best
+
+
+def _least_set(rows, need, limit: int) -> int | None:
+    """The first least vertex set d of at most ``limit`` vertices, in
+    combinations order, with need(d, r) == 0, r being the OR of rows[v] over
+    v in d; else None. Any other need(d, r) is a mask every solution holding
+    d meets: one depth-first pass grows d by each of its vertices in turn,
+    barred from later branches, so it reaches each least solution once (the
+    bounded search tree for hitting set). Refuses past MAX_SEARCH_NODES sets."""
+    best, nodes, stack = None, 0, [(0, 0, 0)]  # (d, r, barred vertices)
+    while stack:
+        d, r, barred = stack.pop()
+        size = d.bit_count()
+        if size > limit:
+            continue
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise BudgetError(f"subset search exceeds the budget of {MAX_SEARCH_NODES} sets")
+        branch = need(d, r)
+        if not branch:
+            # on a tie, d comes first iff the lowest vertex of d ^ best is in d
+            if best is None or size < limit or (d ^ best) & -(d ^ best) & d:
+                best, limit = d, size
+        elif size < limit:
+            branch &= ~barred
+            while branch:  # pushed high to low, so the lowest vertex grows first
+                v = branch.bit_length() - 1
+                branch ^= 1 << v
+                stack.append((d | 1 << v, r | rows[v], barred | branch))
     return best
 
 

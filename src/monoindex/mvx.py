@@ -44,6 +44,7 @@ from .coloring import (
 from .graphs import (
     BudgetError,
     Graph,
+    _least_set,
     bfs_tree,
     closed_neighborhood,
     connected_components,
@@ -56,7 +57,6 @@ from .graphs import (
 )
 
 MAX_TREE_SUBSETS = 10_000_000
-MAX_DOMINATION_VERTICES = 20
 
 
 class SpanningTreeResult(NamedTuple):
@@ -95,35 +95,17 @@ def max_leaf_spanning_tree(g: Graph) -> SpanningTreeResult:
     return best
 
 
-def _dominating_masks(g: Graph):
-    """Every dominating set of g as a mask, by ascending size, then in
-    combinations order within a size. Refuses graphs above the budget."""
-    n = g.n
-    if n > MAX_DOMINATION_VERTICES:
-        raise BudgetError(
-            f"subset search over {n} vertices exceeds the budget of {MAX_DOMINATION_VERTICES}"
-        )
-    full = g.full_mask
-    closed = [g.adj[v] | 1 << v for v in range(n)]  # 2-3x faster than closed_neighborhood here
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            cover = 0
-            for v in combo:
-                cover |= closed[v]
-            if cover == full:
-                yield mask_from(combo)
-
-
 def minimum_connected_dominating_set(g: Graph) -> int:
-    """Mask of a minimum connected dominating set (ascending-size search)."""
+    """Mask of the first minimum connected dominating set in combinations
+    order, grown from the least closed neighbourhood, which every dominating
+    set meets, by its boundary until it dominates, so it stays connected."""
     if not is_connected(g):
         raise ValueError("connected domination needs a connected graph")
     if g.n == 1:
         return 0  # lone vertex: empty set by convention
-    for mask in _dominating_masks(g):
-        if connected_components(g, mask) == [mask]:
-            return mask
-    raise RuntimeError("unreachable: the full vertex set always dominates")
+    full, closed = g.full_mask, [g.adj[v] | 1 << v for v in range(g.n)]
+    start = min(closed, key=int.bit_count)
+    return _least_set(closed, lambda d, r: start if not d else r & ~d if r != full else 0, g.n)
 
 
 def connected_domination_number(g: Graph) -> int:
@@ -131,23 +113,11 @@ def connected_domination_number(g: Graph) -> int:
     return minimum_connected_dominating_set(g).bit_count()
 
 
-def _max_leaf_core(g: Graph) -> int:
-    """Mask of the internal vertices of an exact max-leaf spanning tree, by the
-    cheaper exact search: the subset scan when its C(m, n-1) edge sets number
-    at most min(50,000, 2^n), so that long trees past the domination cap still
-    fit; else a minimum connected dominating set, the same thing for n >= 3 by
-    the leaf/domination duality (tested against the scan on small graphs)."""
-    if comb(g.m, g.n - 1) <= min(50_000, 1 << g.n):
-        degrees = _degrees(g.n, max_leaf_spanning_tree(g).edges)
-        return mask_from(v for v, d in enumerate(degrees) if d > 1)
-    return minimum_connected_dominating_set(g)
-
-
 def mvx_n_formula(g: Graph) -> int:
-    """l(T_max) + 1 = n - gamma_c + 1 from the exact max-leaf core; needs n >= 3."""
+    """l(T_max) + 1 = n - gamma_c + 1, read off connected domination; needs n >= 3."""
     if g.n < 3:
         raise ValueError("the spanning-tree formula needs n >= 3")
-    return g.n - _max_leaf_core(g).bit_count() + 1
+    return g.n - connected_domination_number(g) + 1
 
 
 def mvx_via_cut_vertex(g: Graph, k: int) -> IndexResult:
@@ -159,7 +129,7 @@ def mvx_via_cut_vertex(g: Graph, k: int) -> IndexResult:
     _check_index_args(g, k)
     if not cut_vertices(g):
         raise ValueError("not applicable: the graph has no cut vertex")
-    core = _max_leaf_core(g)
+    core = minimum_connected_dominating_set(g)
     colors = [0] * g.n
     for fresh, v in enumerate(iter_bits(g.full_mask & ~core), 1):
         colors[v] = fresh

@@ -18,8 +18,8 @@ vertex sets are masks, as everywhere in the package.
 
 from __future__ import annotations
 
-from .graphs import Graph, closed_neighborhood, connected_components, from_edges, iter_bits
-from .mvx import _dominating_masks, mvx_via_cut_vertex
+from .graphs import Graph, _least_set, closed_neighborhood, connected_components, from_edges, iter_bits
+from .mvx import mvx_via_cut_vertex
 
 
 def is_dominating(g: Graph, mask: int) -> bool:
@@ -42,8 +42,10 @@ def build_gadget(g: Graph) -> Graph:
 
 
 def minimum_dominating_set(g: Graph) -> int:
-    """Mask of a minimum dominating set (ascending-size search)."""
-    return next(_dominating_masks(g))
+    """Mask of the first minimum dominating set in combinations order."""
+    closed = [g.adj[v] | 1 << v for v in range(g.n)]
+    undominated = closed + [0]  # N[t] for the lowest t outside r = N[d], 0 once r is V
+    return _least_set(closed, lambda d, r: undominated[(~r & r + 1).bit_length() - 1], g.n)
 
 
 def dominating_number(g: Graph) -> int:

@@ -22,6 +22,11 @@ against:
 - ``diameter_by_closure``, the diameter as it was before it walked only
   each new frontier: every step takes the closed neighborhood of all
   vertices reached so far;
+- ``dominating_sets_by_combinations``, the domination search before one
+  least-set search (``graphs._least_set``) replaced it: every vertex set by
+  ascending size, in combinations order within a size, kept when its
+  closed neighbourhood is everything; ``first_connected_dominating_set``
+  takes the first connected one;
 - ``max_leaf_by_array_union_find``, the max-leaf spanning-tree scan as it
   was before it checked each edge subset with the shared ``edge_forest``:
   an array union-find per subset that stops at the first cycle;
@@ -648,6 +653,25 @@ def children_by_orbit_walk(n: int, connected: bool) -> list[tuple[int, ...]]:
             ):
                 children.append(adj)
     return children
+
+
+def dominating_sets_by_combinations(g: Graph):
+    """Every dominating set of g as a mask, by ascending size, then in
+    combinations order within a size."""
+    full = g.full_mask
+    closed = [g.adj[v] | 1 << v for v in range(g.n)]
+    for size in range(1, g.n + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            cover = 0
+            for v in combo:
+                cover |= closed[v]
+            if cover == full:
+                yield mask_from(combo)
+
+
+def first_connected_dominating_set(g: Graph) -> int:
+    """The first connected set that ``dominating_sets_by_combinations`` yields."""
+    return next(d for d in dominating_sets_by_combinations(g) if connected_components(g, d) == [d])
 
 
 def max_leaf_by_array_union_find(g: Graph) -> SpanningTreeResult:

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from monoindex import cli, survey
+from monoindex import cli, graphs, survey
 from monoindex.cli import main
 from monoindex.coloring import (
     EdgeColoring,
+    VertexColoring,
     parse_coloring_certificate,
     write_coloring_certificate,
 )
@@ -103,6 +104,17 @@ class TestMvx:
             capsys, "mvx", "--graph", to_graph6(path_graph(5)), "--k", "3", "--bound"
         )
         assert code == 0 and out.strip() == "3"
+
+    def test_long_path_witness_verifies(self, capsys, tmp_path):
+        # P60's core is its 58 inner vertices, one cover that holds every vertex
+        graph, witness = tmp_path / "p60.txt", tmp_path / "w.txt"
+        graph.write_text(to_edge_list(path_graph(60)))
+        code, out, _ = run_cli(
+            capsys, "mvx", "--graph", str(graph), "--k", "30", "--cut-vertex", "--witness", str(witness)
+        )
+        assert code == 0 and out == "3\n"
+        code, out, _ = run_cli(capsys, "verify", "--coloring", str(witness), "--k", "30")
+        assert code == 0 and out == "valid\n"
 
     def test_edge_list_input(self, capsys, tmp_path):
         path = tmp_path / "c6.txt"
@@ -360,11 +372,19 @@ class TestErrors:
             main(list(argv))
         assert exc.value.code == 2 and capsys.readouterr().out == ""
 
-    def test_verify_beyond_budget_exits_2_quickly(self, capsys, tmp_path):
-        # C(40, 20) is about 1.4e11 k-sets; the verifier must refuse, not scan
+    def test_verify_beyond_budget_exits_2_quickly(self, capsys, tmp_path, monkeypatch):
+        # C(40, 20) is about 1.4e11 k-sets, but one color's cover holds all
+        # of P40, so no k-set is looked at; with every vertex its own color
+        # the search runs, and past its budget it refuses
         p40 = path_graph(40)
         cert = tmp_path / "cert.txt"
         cert.write_text(write_coloring_certificate(EdgeColoring(p40, (0,) * p40.m)))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "--coloring", str(cert), "--k", "20")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out == "valid\n"
+        cert.write_text(write_coloring_certificate(VertexColoring(p40, tuple(range(40)))))
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 10)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "--coloring", str(cert), "--k", "20")
         assert time.perf_counter() - start < 1.0
@@ -414,11 +434,31 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv, flag, str(path))
         assert code == 2 and out == "" and err == f"error: {message}\n"
 
-    def test_reduce_names_the_subset_budget(self, capsys):
-        # the gadget of C10 has 22 vertices, two past the subset search's budget
-        code, out, err = run_cli(capsys, "reduce", "--graph", to_graph6(cycle_graph(10)), "--k", "1")
+    def test_reduce_names_the_subset_budget(self, capsys, monkeypatch):
+        # the gadget of C10 has 22 vertices, past the 20-vertex cap the
+        # domination search once had; gamma(C10) = 4. Its search visits
+        # thousands of sets, so a budget of 1,000 refuses it
+        c10 = to_graph6(cycle_graph(10))
+        for k, answer in (("3", "no\n"), ("4", "yes\n")):
+            code, out, _ = run_cli(capsys, "reduce", "--graph", c10, "--k", k)
+            assert code == 0 and out == answer
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 1000)
+        code, out, err = run_cli(capsys, "reduce", "--graph", c10, "--k", "4")
         assert code == 2 and out == ""
-        assert err == "error: subset search over 22 vertices exceeds the budget of 20\n"
+        assert err == "error: subset search exceeds the budget of 1000 sets\n"
+
+    def test_cut_vertex_names_the_subset_budget(self, capsys, monkeypatch, tmp_path):
+        # the connected domination search on P30 visits 58 sets: from the
+        # end 0 to the 29-vertex core 0..28, then from 1 to the core 1..28
+        graph = tmp_path / "p30.txt"
+        graph.write_text(to_edge_list(path_graph(30)))
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 58)
+        code, out, _ = run_cli(capsys, "mvx", "--graph", str(graph), "--k", "2", "--cut-vertex")
+        assert code == 0 and out == "3\n"
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 57)
+        code, out, err = run_cli(capsys, "mvx", "--graph", str(graph), "--k", "2", "--cut-vertex")
+        assert code == 2 and out == ""
+        assert err == "error: subset search exceeds the budget of 57 sets\n"
 
     def test_bound_on_a_long_path_is_quick(self, tmp_path):
         # the diameter walk expands only each new frontier: 800 BFS of 800 steps
@@ -441,7 +481,7 @@ class TestErrors:
 
     def test_reduce_names_the_walk_budget(self, capsys, tmp_path):
         # the gadget of P1000 has 2,002 vertices: the walk budget refuses it
-        # before the domination budget is reached
+        # before the domination search starts
         graph = tmp_path / "p1000.txt"
         graph.write_text(to_edge_list(path_graph(1000)))
         start = time.perf_counter()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monoindex import coloring
+from monoindex import graphs
 from monoindex.coloring import (
     EdgeColoring,
     VertexColoring,
@@ -17,6 +17,7 @@ from monoindex.coloring import (
 from monoindex.graphs import (
     BudgetError,
     complement,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     enumerate_connected_graphs,
@@ -157,16 +158,22 @@ class TestVerifiers:
             verify_mx_coloring(ec, 5)
 
     def test_subset_budget(self, monkeypatch):
-        # C(5, 3) = 10 k-sets: refused below that budget, scanned at it
-        ec = spanning_path_coloring_c5()
-        vc = all_distinct_vertices(complete_graph(5))
-        monkeypatch.setattr(coloring, "MAX_VERIFY_SUBSETS", 9)
-        with pytest.raises(BudgetError):
-            verify_mx_coloring(ec, 3)
-        with pytest.raises(BudgetError):
-            verify_mvx_coloring(vc, 3)
-        monkeypatch.setattr(coloring, "MAX_VERIFY_SUBSETS", 10)
-        assert verify_mx_coloring(ec, 3) and verify_mvx_coloring(vc, 3)
+        # the search for a 3-set in no cover visits 11 sets on C5 with every
+        # edge its own color (it finds {0, 2}) and 5 on K2,3 with every vertex
+        # its own color (it finds none): refused below that budget, answered
+        # at it. A cover that is V needs no search at all
+        ec = all_distinct_edges(cycle_graph(5))
+        vc = all_distinct_vertices(complete_bipartite_graph(2, 3))
+        cases = ((verify_mx_coloring, ec, 11, False), (verify_mvx_coloring, vc, 5, True))
+        for verify, c, visits, valid in cases:
+            monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", visits - 1)
+            with pytest.raises(BudgetError, match=f"budget of {visits - 1} sets"):
+                verify(c, 3)
+            monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", visits)
+            assert verify(c, 3) is valid
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 0)
+        assert verify_mx_coloring(spanning_path_coloring_c5(), 3)
+        assert verify_mvx_coloring(all_distinct_vertices(complete_graph(5)), 3)
 
     def test_agrees_with_cover_scan(self):
         # seeded colorings of every connected graph with n <= 6; the examples

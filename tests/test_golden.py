@@ -7,9 +7,10 @@ colorings and certificates must all stay byte-identical, so any drift shows
 up here by command. The witness digests were recorded before the exact
 search built its block lists on demand; they pin every value and witness
 coloring of ``mvx_profile`` for n <= 7 and of ``mx_exact_bruteforce`` for
-3 <= n <= 6 at k = 2 and 3. The cut-vertex digest was recorded before that
-route read its witness off a connected dominating set instead of a spanning
-tree. The survey CSV digests live in
+3 <= n <= 6 at k = 2 and 3. The cut-vertex digest was re-recorded when
+every graph, sparse ones included, began to read its witness off the first
+minimum connected dominating set in combinations order; the values did not
+move, and 17 of its 508 rows did. The survey CSV digests live in
 test_acceptance.py, which already holds the n = 5..7 survey records. The
 README's Library block runs here as well, with its printed and commented
 values.
@@ -28,6 +29,8 @@ from monoindex.graphs import cut_vertices, enumerate_connected_graphs, enumerate
 from monoindex.mvx import mvx_profile, mvx_via_cut_vertex
 from monoindex.mx import mx_exact_bruteforce
 from monoindex.reduction import build_gadget
+
+import oracles
 
 
 def sha256(text: str) -> str:
@@ -169,13 +172,15 @@ def test_mx_exact_witnesses():
 
 
 def test_cut_vertex_witnesses():
-    # both routes of mvx_via_cut_vertex: 7-vertex graphs with m <= 9 take the
-    # subset scan, denser graphs and every gadget the domination search
+    # the witness's one-color core (color 0) is the first connected
+    # dominating set that the combinations scan finds
     graphs = [g for n in range(3, 8) for g in enumerate_connected_graphs(n) if cut_vertices(g)]
     graphs += [build_gadget(s) for n in range(1, 6) for s in enumerate_graphs(n)]
     rows = []
     for g in graphs:
         value, witness = mvx_via_cut_vertex(g, 2)
+        core = sum(1 << v for v, c in enumerate(witness.colors) if c == 0)
+        assert core == oracles.first_connected_dominating_set(g), to_graph6(g)
         rows.append((to_graph6(g), 2, value, witness.colors))
     assert len(rows) == 508
-    assert witness_digest(rows) == "2d73939ee2235b013d5bee2b326787c98abe4038361c8fc781143eaa849d4b29"
+    assert witness_digest(rows) == "b29f9963f41c87dd5d8425ba0acd60a12ef2b21f67c0c183247f267639e96cee"

@@ -33,6 +33,7 @@ from monoindex.mvx import (
     diameter_upper_bound,
     extract_mono_spanning_tree,
     max_leaf_spanning_tree,
+    minimum_connected_dominating_set,
     mvx_exact,
     mvx_n_formula,
     mvx_via_cut_vertex,
@@ -72,7 +73,7 @@ class TestMaxLeaf:
 
     def test_scan_matches_array_union_find(self):
         # every connected graph with n <= 6, and every connected 7-vertex
-        # graph that _max_leaf_tree sends to the scan (C(m, 6) <= 128)
+        # graph with at most 128 edge sets to scan (C(m, 6) <= 128)
         graphs = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
         graphs += [g for g in enumerate_connected_graphs(7) if comb(g.m, 6) <= 128]
         for g in graphs:
@@ -170,7 +171,7 @@ class TestCutVertexRoute:
     @pytest.mark.parametrize("source", [path_graph(4), star_graph(4)])
     def test_dense_gadget_skips_the_subset_scan(self, monkeypatch, source):
         # a 4-vertex tree's gadget has 10 vertices and 18 edges: C(18, 9) =
-        # 48,620 edge sets against 2^10 vertex sets, so domination is cheaper
+        # 48,620 edge sets, which the domination search never scans
         calls = []
 
         def recording(g, *args, **kwargs):
@@ -182,21 +183,22 @@ class TestCutVertexRoute:
         assert calls == []
 
     def test_long_tree_past_the_domination_cap(self):
-        # 30 vertices exceed MAX_DOMINATION_VERTICES; a tree is one edge set
+        # 30 vertices, past the 20-vertex cap the domination search once had:
+        # grown one boundary vertex at a time, P30's search visits 58 sets
         p30 = path_graph(30)
         for k in (2, 3, 30):
             res = mvx_via_cut_vertex(p30, k)
             assert res.value == 3
             assert verify_mvx_coloring(res.witness, k)
 
-    def test_either_route_finds_the_most_leaves(self):
-        # on either route the core leaves the most leaves, n - |core|, and is
-        # connected and dominating
+    def test_connected_domination_finds_the_most_leaves(self):
+        # the minimum connected dominating set leaves the most leaves,
+        # n - |core|, and is connected and dominating
         checked = 0
         for n in range(3, 8):
             for g in enumerate_connected_graphs(n):
                 if cut_vertices(g):
-                    core = mvx._max_leaf_core(g)
+                    core = minimum_connected_dominating_set(g)
                     assert n - core.bit_count() == max_leaf_spanning_tree(g).leaf_count, g.edges
                     assert connected_components(g, core) == [core]
                     assert closed_neighborhood(g, core) == g.full_mask
@@ -204,8 +206,8 @@ class TestCutVertexRoute:
         assert checked == 1 + 3 + 11 + 56 + 385
 
     def test_domination_route_builds_no_tree(self, monkeypatch):
-        # a gadget and K8 both take the domination search, which reads the
-        # value and witness off the core without building a spanning tree
+        # the value and witness are read off the core, on a gadget and on
+        # K8, without building a spanning tree
         def refuse(*args, **kwargs):
             raise AssertionError("bfs_tree called")
 

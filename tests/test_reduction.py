@@ -1,11 +1,14 @@
 import pytest
 
+from monoindex import graphs
 from monoindex.graphs import (
+    BudgetError,
     Graph,
     complete_graph,
     connected_components,
     cut_vertices,
     cycle_graph,
+    enumerate_connected_graphs,
     enumerate_graphs,
     from_edges,
     is_connected,
@@ -22,6 +25,8 @@ from monoindex.reduction import (
     minimum_dominating_set,
     project_cds,
 )
+
+import oracles
 
 
 def is_cds(g: Graph, mask: int) -> bool:
@@ -185,3 +190,44 @@ class TestDecision:
                 assert d.bit_count() == dominating_number(g)
                 smaller = (s for s in range(1 << n) if s.bit_count() < d.bit_count())
                 assert not any(is_dominating(g, s) for s in smaller)
+
+
+class TestLeastSetSearch:
+    """Both domination searches against the combinations scan they replaced:
+    the same sets, not just the same sizes."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        assert minimum_dominating_set(g) == next(oracles.dominating_sets_by_combinations(g)), g.edges
+        if is_connected(g):
+            cds = minimum_connected_dominating_set(g)
+            assert cds == (oracles.first_connected_dominating_set(g) if g.n > 1 else 0), g.edges
+
+    def test_matches_combinations_scan(self):
+        # every graph with n <= 6 and every connected graph with n = 7
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                self.check(g)
+        for g in enumerate_connected_graphs(7):
+            self.check(g)
+
+    def test_matches_combinations_scan_on_gadgets(self):
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                self.check(build_gadget(g))
+
+    def test_long_path(self):
+        # past the 20-vertex cap the domination searches once had
+        p = path_graph(1000)
+        assert minimum_connected_dominating_set(p) == p.full_mask & ~(1 | 1 << 999)
+        assert minimum_dominating_set(path_graph(30)) == sum(1 << v for v in range(1, 30, 3))
+
+    def test_budget(self, monkeypatch):
+        # the connected domination search on C6 visits 19 sets
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 18)
+        with pytest.raises(BudgetError, match="budget of 18 sets"):
+            minimum_connected_dominating_set(cycle_graph(6))
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 19)
+        assert minimum_connected_dominating_set(cycle_graph(6)) == 0b1111
+        with pytest.raises(BudgetError, match="budget of 19 sets"):
+            minimum_dominating_set(cycle_graph(6))  # visits 20
