@@ -297,8 +297,7 @@ def _verify(coloring: _Coloring, k: int) -> bool:
     if not all(misses):
         return True
     rows = [sum(1 << i for i, miss in enumerate(misses) if miss >> v & 1) for v in range(g.n)]
-    misses.append(0)  # need: the lowest miss that r does not name, 0 once it names all
-    return _least_set(rows, lambda d, r: misses[(~r & r + 1).bit_length() - 1], k) is None
+    return next(_least_set(rows, misses, k), None) is None
 
 
 def verify_mx_coloring(ec: EdgeColoring, k: int) -> bool:

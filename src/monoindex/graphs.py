@@ -238,13 +238,19 @@ def diameter(g: Graph) -> int:
     return best
 
 
-def _least_set(rows, need, limit: int) -> int | None:
-    """The first least vertex set d of at most ``limit`` vertices, in
-    combinations order, with need(d, r) == 0, r being the OR of rows[v] over
-    v in d; else None. Any other need(d, r) is a mask every solution holding
-    d meets: one depth-first pass grows d by each of its vertices in turn,
-    barred from later branches, so it reaches each least solution once (the
-    bounded search tree for hitting set). Refuses past MAX_SEARCH_NODES sets."""
+def _least_set(rows, need, limit: int):
+    """Yield the vertex sets d of at most ``limit`` vertices with need(d, r,
+    barred, room) == 0 (r: the OR of rows[v] over v in d; room: limit - |d|),
+    each less than or before (in combinations order) the one before, so the
+    last is the first least one. Any other need is a mask every solution
+    holding d and no barred vertex meets, and one inside barred ends the
+    branch; a list ``need`` gives the mask at the lowest bit r lacks. One
+    depth-first pass grows d by each vertex of that mask in turn, barred from
+    later branches, so it reaches each least solution once (the bounded
+    search tree for hitting set). Refuses past MAX_SEARCH_NODES sets."""
+    if isinstance(need, list):
+        table = [*need, 0]
+        need = lambda d, r, barred, room: table[(~r & r + 1).bit_length() - 1]
     best, nodes, stack = None, 0, [(0, 0, 0)]  # (d, r, barred vertices)
     while stack:
         d, r, barred = stack.pop()
@@ -254,18 +260,18 @@ def _least_set(rows, need, limit: int) -> int | None:
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
             raise BudgetError(f"subset search exceeds the budget of {MAX_SEARCH_NODES} sets")
-        branch = need(d, r)
+        branch = need(d, r, barred, limit - size)
         if not branch:
             # on a tie, d comes first iff the lowest vertex of d ^ best is in d
             if best is None or size < limit or (d ^ best) & -(d ^ best) & d:
                 best, limit = d, size
+                yield d
         elif size < limit:
             branch &= ~barred
             while branch:  # pushed high to low, so the lowest vertex grows first
                 v = branch.bit_length() - 1
                 branch ^= 1 << v
                 stack.append((d | 1 << v, r | rows[v], barred | branch))
-    return best
 
 
 def k_subsets(n: int, k: int):

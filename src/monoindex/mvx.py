@@ -97,15 +97,40 @@ def max_leaf_spanning_tree(g: Graph) -> SpanningTreeResult:
 
 def minimum_connected_dominating_set(g: Graph) -> int:
     """Mask of the first minimum connected dominating set in combinations
-    order, grown from the least closed neighbourhood, which every dominating
-    set meets, by its boundary until it dominates, so it stays connected."""
+    order, grown from the least closed neighbourhood (every dominating set
+    meets it) by its boundary, so it stays connected, and never by a leaf,
+    which for n >= 3 no minimum one holds. A branch ends once d can grow to
+    dominate only past its room or through barred vertices (see ``need``)."""
     if not is_connected(g):
         raise ValueError("connected domination needs a connected graph")
-    if g.n == 1:
-        return 0  # lone vertex: empty set by convention
-    full, closed = g.full_mask, [g.adj[v] | 1 << v for v in range(g.n)]
-    start = min(closed, key=int.bit_count)
-    return _least_set(closed, lambda d, r: start if not d else r & ~d if r != full else 0, g.n)
+    if g.n < 3:
+        return g.n - 1  # the empty set on one vertex, {0} on K2
+    full, closed, live = g.full_mask, [g.adj[v] | 1 << v for v in range(g.n)], [-1, 0]
+    inner = mask_from(v for v in range(g.n) if g.adj[v] & g.adj[v] - 1)
+    start = min(closed, key=int.bit_count) & inner
+
+    def need(d, r, barred, room):  # live: the last barred, a dominating connected set avoiding it
+        if r == full or not d:
+            return start if not d else 0
+        # lb undominated t with pairwise disjoint N[t] & avail need lb vertices more
+        avail, todo, used, lb = inner & ~barred, full & ~r, 0, 0
+        while lb <= room < lb + todo.bit_count():
+            t, todo = (todo & -todo).bit_length() - 1, todo & todo - 1
+            if not closed[t] & avail & used:
+                used, lb = used | closed[t] & avail, lb + 1
+        if lb > room:
+            return barred  # not 0: with nothing barred, limit is still n
+        if barred != live[0] or not d & live[1]:
+            reach, cover = d, r
+            while cover != full:  # grow d within avail until it dominates or stops
+                grow = cover & avail & ~reach
+                if not grow:
+                    return barred
+                reach, cover = reach | grow, cover | closed_neighborhood(g, grow)
+            live[:] = barred, reach
+        return r & inner & ~d
+
+    return [*_least_set(closed, need, g.n)][-1]
 
 
 def connected_domination_number(g: Graph) -> int:

@@ -43,9 +43,8 @@ def build_gadget(g: Graph) -> Graph:
 
 def minimum_dominating_set(g: Graph) -> int:
     """Mask of the first minimum dominating set in combinations order."""
-    closed = [g.adj[v] | 1 << v for v in range(g.n)]
-    undominated = closed + [0]  # N[t] for the lowest t outside r = N[d], 0 once r is V
-    return _least_set(closed, lambda d, r: undominated[(~r & r + 1).bit_length() - 1], g.n)
+    closed = [g.adj[v] | 1 << v for v in range(g.n)]  # r = N[d] lacks t: need N[t]
+    return [*_least_set(closed, closed, g.n)][-1]
 
 
 def dominating_number(g: Graph) -> int:

@@ -375,7 +375,9 @@ class TestErrors:
     def test_verify_beyond_budget_exits_2_quickly(self, capsys, tmp_path, monkeypatch):
         # C(40, 20) is about 1.4e11 k-sets, but one color's cover holds all
         # of P40, so no k-set is looked at; with every vertex its own color
-        # the search runs, and past its budget it refuses
+        # the search stops at the 4th set it visits, {0, 2, 3}, which meets
+        # every miss and so pads out to a 20-set in no cover: a budget of 3
+        # refuses
         p40 = path_graph(40)
         cert = tmp_path / "cert.txt"
         cert.write_text(write_coloring_certificate(EdgeColoring(p40, (0,) * p40.m)))
@@ -384,7 +386,7 @@ class TestErrors:
         assert time.perf_counter() - start < 1.0
         assert code == 0 and out == "valid\n"
         cert.write_text(write_coloring_certificate(VertexColoring(p40, tuple(range(40)))))
-        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 10)
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 3)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "--coloring", str(cert), "--k", "20")
         assert time.perf_counter() - start < 1.0
@@ -448,17 +450,17 @@ class TestErrors:
         assert err == "error: subset search exceeds the budget of 1000 sets\n"
 
     def test_cut_vertex_names_the_subset_budget(self, capsys, monkeypatch, tmp_path):
-        # the connected domination search on P30 visits 58 sets: from the
-        # end 0 to the 29-vertex core 0..28, then from 1 to the core 1..28
+        # the connected domination search on P30 visits 29 sets: the empty
+        # set, then from 1 (the end 0 is a leaf) straight to the core 1..28
         graph = tmp_path / "p30.txt"
         graph.write_text(to_edge_list(path_graph(30)))
-        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 58)
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 29)
         code, out, _ = run_cli(capsys, "mvx", "--graph", str(graph), "--k", "2", "--cut-vertex")
         assert code == 0 and out == "3\n"
-        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 57)
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 28)
         code, out, err = run_cli(capsys, "mvx", "--graph", str(graph), "--k", "2", "--cut-vertex")
         assert code == 2 and out == ""
-        assert err == "error: subset search exceeds the budget of 57 sets\n"
+        assert err == "error: subset search exceeds the budget of 28 sets\n"
 
     def test_bound_on_a_long_path_is_quick(self, tmp_path):
         # the diameter walk expands only each new frontier: 800 BFS of 800 steps

@@ -158,13 +158,13 @@ class TestVerifiers:
             verify_mx_coloring(ec, 5)
 
     def test_subset_budget(self, monkeypatch):
-        # the search for a 3-set in no cover visits 11 sets on C5 with every
-        # edge its own color (it finds {0, 2}) and 5 on K2,3 with every vertex
-        # its own color (it finds none): refused below that budget, answered
-        # at it. A cover that is V needs no search at all
+        # the search for a 3-set in no cover visits 3 sets on C5 with every
+        # edge its own color (it stops at the first, {0, 2}) and 5 on K2,3
+        # with every vertex its own color (it finds none): refused below that
+        # budget, answered at it. A cover that is V needs no search at all
         ec = all_distinct_edges(cycle_graph(5))
         vc = all_distinct_vertices(complete_bipartite_graph(2, 3))
-        cases = ((verify_mx_coloring, ec, 11, False), (verify_mvx_coloring, vc, 5, True))
+        cases = ((verify_mx_coloring, ec, 3, False), (verify_mvx_coloring, vc, 5, True))
         for verify, c, visits, valid in cases:
             monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", visits - 1)
             with pytest.raises(BudgetError, match=f"budget of {visits - 1} sets"):

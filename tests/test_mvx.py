@@ -184,12 +184,33 @@ class TestCutVertexRoute:
 
     def test_long_tree_past_the_domination_cap(self):
         # 30 vertices, past the 20-vertex cap the domination search once had:
-        # grown one boundary vertex at a time, P30's search visits 58 sets
+        # grown one inner boundary vertex at a time, P30's search visits 29 sets
         p30 = path_graph(30)
         for k in (2, 3, 30):
             res = mvx_via_cut_vertex(p30, k)
             assert res.value == 3
             assert verify_mvx_coloring(res.witness, k)
+
+    def test_trees_within_the_real_budget(self):
+        # a tree's minimum connected dominating set is its non-leaves. Spiders
+        # of 20 legs with two and three edges, numbered by BFS, and seeded
+        # trees of up to 60 vertices with shuffled labels: a search that grew
+        # into leaves, or past a barred vertex that cuts off part of the tree,
+        # would visit far more than MAX_SEARCH_NODES sets on these
+        trees = [
+            from_edges(1 + 20 * legs, [(max(v - 20, 0), v) for v in range(1, 1 + 20 * legs)])
+            for legs in (2, 3)
+        ]
+        rng = random.Random(32)
+        for n in range(3, 61):
+            label = rng.sample(range(n), n)
+            trees.append(from_edges(n, [(label[rng.randrange(v)], label[v]) for v in range(1, n)]))
+        for t in trees:
+            core, leaves = minimum_connected_dominating_set(t), max_leaf_spanning_tree(t).leaf_count
+            assert core == sum(1 << v for v in range(t.n) if t.degree(v) > 1), t.edges
+            assert t.n - core.bit_count() == leaves
+            res = mvx_via_cut_vertex(t, 2)
+            assert res.value == leaves + 1 and verify_mvx_coloring(res.witness, 2)
 
     def test_connected_domination_finds_the_most_leaves(self):
         # the minimum connected dominating set leaves the most leaves,

@@ -217,10 +217,14 @@ class TestLeastSetSearch:
                 self.check(build_gadget(g))
 
     def test_long_path(self):
-        # past the 20-vertex cap the domination searches once had
+        # past the 20-vertex cap the domination searches once had. P20's
+        # 42-vertex gadget took the whole budget before the search counted
+        # the undominated vertices it still must reach (36,636 sets now)
         p = path_graph(1000)
         assert minimum_connected_dominating_set(p) == p.full_mask & ~(1 | 1 << 999)
         assert minimum_dominating_set(path_graph(30)) == sum(1 << v for v in range(1, 30, 3))
+        assert connected_domination_number(build_gadget(path_graph(20))) == 7 + 1
+        assert decide_ds_via_mvx(path_graph(20), 7) and not decide_ds_via_mvx(path_graph(20), 6)
 
     def test_budget(self, monkeypatch):
         # the connected domination search on C6 visits 19 sets
