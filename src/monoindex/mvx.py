@@ -4,11 +4,11 @@ Computing the vertex index at k = n is the max-leaf spanning tree problem
 in disguise (value l(T_max) + 1), which in turn is connected domination in
 disguise (l(T_max) = n - gamma_c for n >= 3): the internal vertices of a
 spanning tree form a connected dominating set and any connected dominating
-set spans a tree whose complement sits among the leaves. Both solvers are
-implemented independently here precisely so the tests can play them against
-each other. On a graph with a cut vertex n - gamma_c + 1 is the index at
-every k from 2 to n, read with its witness off a minimum connected
-dominating set: the fast path the decision reduction rides on.
+set spans a tree whose complement sits among the leaves. The max-leaf tree
+is read off a minimum connected dominating set here, and ``tests/oracles.py``
+checks it against the scan of every (n-1)-edge subset. On a graph with a cut
+vertex n - gamma_c + 1 is the index at every k from 2 to n, read with its
+witness off that core: the fast path the decision reduction rides on.
 
 The exact search is ``coloring._least_excess`` over the vertices.
 Splitting a color class into its components keeps every cover N[A] (see
@@ -26,9 +26,7 @@ every t in s, so the blocks of one size that hold s take one AND per t in s.
 
 from __future__ import annotations
 
-import itertools
 from functools import cache, lru_cache
-from math import comb
 from typing import NamedTuple
 
 from .coloring import (
@@ -50,13 +48,10 @@ from .graphs import (
     connected_components,
     cut_vertices,
     diameter,
-    edge_forest,
     is_connected,
     iter_bits,
     mask_from,
 )
-
-MAX_TREE_SUBSETS = 10_000_000
 
 
 class SpanningTreeResult(NamedTuple):
@@ -64,35 +59,32 @@ class SpanningTreeResult(NamedTuple):
     leaf_count: int
 
 
-def _degrees(n: int, edges) -> list[int]:
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
 def max_leaf_spanning_tree(g: Graph) -> SpanningTreeResult:
-    """Exact maximum-leaf spanning tree by scanning all (n-1)-edge subsets.
-
-    Deliberately oblivious to the domination duality so it can serve as its
-    independent check. Refuses graphs where C(m, n-1) exceeds the budget.
+    """A maximum-leaf spanning tree: ``_tree_on`` a minimum connected
+    dominating set, from its lowest vertex. For n >= 3 the leaves are exactly
+    the n - gamma_c vertices outside the core, as a core vertex of tree-degree
+    1 could leave it, which would stay connected and dominating. On K2 the
+    core is {0} and both vertices are leaves. Refused past MAX_SEARCH_NODES.
     """
     if not is_connected(g) or g.n < 2:
         raise ValueError("spanning trees need a connected graph on >= 2 vertices")
-    n, m = g.n, g.m
-    if comb(m, n - 1) > MAX_TREE_SUBSETS:
-        raise BudgetError(
-            f"C({m},{n - 1}) edge subsets exceed the budget of {MAX_TREE_SUBSETS}"
-        )
-    best = SpanningTreeResult((), -1)
-    for combo in itertools.combinations(g.edges, n - 1):
-        # n-1 acyclic edges on n vertices always form a spanning tree
-        if all(edge_forest(combo)[0]):
-            leaves = _degrees(n, combo).count(1)
-            if leaves > best.leaf_count:
-                best = SpanningTreeResult(combo, leaves)
-    return best
+    core = minimum_connected_dominating_set(g)
+    return _tree_on(g, (core & -core).bit_length() - 1, core)
+
+
+def _tree_on(g: Graph, root: int, core: int) -> SpanningTreeResult:
+    """The BFS tree of the connected dominating set core from root, with every
+    other vertex hung off its lowest neighbour in core as a leaf; edges sorted."""
+    tree = bfs_tree(g, root, core)
+    for v in iter_bits(g.full_mask & ~core):
+        anchor = (g.adj[v] & core & -(g.adj[v] & core)).bit_length() - 1
+        tree.append((anchor, v) if anchor < v else (v, anchor))
+    tree.sort()
+    deg = [0] * g.n
+    for edge in tree:
+        for v in edge:
+            deg[v] += 1
+    return SpanningTreeResult(tuple(tree), deg.count(1))
 
 
 def minimum_connected_dominating_set(g: Graph) -> int:
@@ -273,9 +265,4 @@ def extract_mono_spanning_tree(vc: VertexColoring, v0: int) -> SpanningTreeResul
     core = next(comp for comp in connected_components(g, same) if comp >> v0 & 1)
     if closed_neighborhood(g, core) != g.full_mask:
         raise RuntimeError("v0's color component does not dominate the graph; this is a bug")
-    tree = bfs_tree(g, v0, core)
-    for v in iter_bits(g.full_mask & ~core):
-        anchor = (g.adj[v] & core & -(g.adj[v] & core)).bit_length() - 1
-        tree.append((anchor, v) if anchor < v else (v, anchor))
-    tree.sort()
-    return SpanningTreeResult(tuple(tree), _degrees(g.n, tree).count(1))
+    return _tree_on(g, v0, core)

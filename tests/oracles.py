@@ -27,9 +27,10 @@ against:
   ascending size, in combinations order within a size, kept when its
   closed neighbourhood is everything; ``first_connected_dominating_set``
   takes the first connected one;
-- ``max_leaf_by_array_union_find``, the max-leaf spanning-tree scan as it
-  was before it checked each edge subset with the shared ``edge_forest``:
-  an array union-find per subset that stops at the first cycle;
+- ``max_leaf_by_array_union_find``, the max-leaf spanning-tree scan that
+  the library's tree read off connected domination replaced: every
+  (n-1)-edge subset, checked by an array union-find that stops at the first
+  cycle, up to its own limit of ``MAX_TREE_SUBSETS`` subsets;
 - the earlier canonical searches and enumerators: ``canonical_by_columns``
   builds every unplaced vertex's column bit by bit,
   ``canonical_with_automorphisms`` is the library's search before the
@@ -85,9 +86,11 @@ from monoindex.graphs import (
     mask_from,
     to_graph6,
 )
-from monoindex.mvx import MAX_TREE_SUBSETS, SpanningTreeResult, mvx_profile
+from monoindex.mvx import SpanningTreeResult, mvx_profile
 from monoindex.mx import _subtrees
 from monoindex.partitions import set_partitions_with_blocks
+
+MAX_TREE_SUBSETS = 10_000_000  # the edge subsets max_leaf_by_array_union_find scans at most
 
 
 def coverage_targets(g: Graph, k: int):
@@ -678,7 +681,7 @@ def max_leaf_by_array_union_find(g: Graph) -> SpanningTreeResult:
     """Exact maximum-leaf spanning tree by scanning all (n-1)-edge subsets.
 
     Deliberately oblivious to the domination duality so it can serve as its
-    independent check. Refuses graphs where C(m, n-1) exceeds the budget.
+    independent check. Refuses graphs where C(m, n-1) exceeds MAX_TREE_SUBSETS.
     """
     if not is_connected(g) or g.n < 2:
         raise ValueError("spanning trees need a connected graph on >= 2 vertices")

@@ -38,7 +38,6 @@ from monoindex.graphs import (
 from monoindex.mvx import (
     complement_cycle_mvx,
     connected_domination_number,
-    max_leaf_spanning_tree,
     mvx_exact,
     mvx_profile,
     mvx_via_cut_vertex,
@@ -126,7 +125,7 @@ def test_c03_leaf_duality_and_formula():
     leaf_counts = {}
     for n in range(3, 8):
         for g in enumerate_connected_graphs(n):
-            leaves = max_leaf_spanning_tree(g).leaf_count
+            leaves = oracles.max_leaf_by_array_union_find(g).leaf_count
             leaf_counts[(n, to_graph6(g))] = leaves
             assert leaves == n - connected_domination_number(g), (n, g.edges)
     for n in range(3, 7):
@@ -146,7 +145,7 @@ def test_c04_cut_vertex_fast_path():
         for g in enumerate_connected_graphs(n):
             if not cut_vertices(g):
                 continue
-            leaves = max_leaf_spanning_tree(g).leaf_count
+            leaves = oracles.max_leaf_by_array_union_find(g).leaf_count
             for k in range(2, n + 1):
                 assert mvx_exact(g, k).value == leaves + 1, (n, g.edges, k)
                 assert mvx_via_cut_vertex(g, k).value == leaves + 1, (n, g.edges, k)

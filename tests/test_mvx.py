@@ -1,5 +1,4 @@
 import random
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from monoindex.graphs import (
     connected_components,
     cut_vertices,
     cycle_graph,
+    edge_forest,
     enumerate_connected_graphs,
     enumerate_graphs,
     from_edges,
@@ -53,6 +53,15 @@ def prism() -> Graph:
     return complement(cycle_graph(6))
 
 
+def assert_max_leaf_tree(g: Graph, leaves: int) -> None:
+    # max_leaf_spanning_tree gives n - 1 edges of g, which edge_forest keeps
+    # whole, with the given leaf count
+    res = max_leaf_spanning_tree(g)
+    assert len(res.edges) == g.n - 1 and set(res.edges) <= set(g.edges), g.edges
+    assert all(edge_forest(res.edges)[0]), g.edges
+    assert res.leaf_count == leaves, g.edges
+
+
 class TestMaxLeaf:
     def test_examples(self):
         assert max_leaf_spanning_tree(star_graph(5)).leaf_count == 4
@@ -72,17 +81,30 @@ class TestMaxLeaf:
         assert is_connected(g)
 
     def test_scan_matches_array_union_find(self):
-        # every connected graph with n <= 6, and every connected 7-vertex
-        # graph with at most 128 edge sets to scan (C(m, 6) <= 128)
-        graphs = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
-        graphs += [g for g in enumerate_connected_graphs(7) if comb(g.m, 6) <= 128]
-        for g in graphs:
-            assert max_leaf_spanning_tree(g) == oracles.max_leaf_by_array_union_find(g)
+        # every connected graph with n <= 7
+        for n in range(2, 8):
+            for g in enumerate_connected_graphs(n):
+                assert_max_leaf_tree(g, oracles.max_leaf_by_array_union_find(g).leaf_count)
+
+    def test_sparse_graphs_match_array_union_find(self):
+        # seeded trees plus 0-3 edges, n = 8..60, with shuffled labels: the
+        # oracle scans at most C(n + 2, n - 1) edge sets on each
+        rng = random.Random(33)
+        for n in range(8, 61):
+            label = rng.sample(range(n), n)
+            edges = {tuple(sorted((label[rng.randrange(v)], label[v]))) for v in range(1, n)}
+            while len(edges) < n - 1 + (n % 4):
+                u, v = rng.sample(range(n), 2)
+                edges.add((min(u, v), max(u, v)))
+            g = from_edges(n, sorted(edges))
+            assert_max_leaf_tree(g, oracles.max_leaf_by_array_union_find(g).leaf_count)
 
     def test_budget(self):
-        # C(36, 8) = 30,260,340 edge subsets of K9, over MAX_TREE_SUBSETS
-        with pytest.raises(BudgetError, match="exceed the budget of 10000000"):
-            max_leaf_spanning_tree(complete_graph(9))
+        # past the oracle's MAX_TREE_SUBSETS: C(36, 8) = 30,260,340 edge sets
+        # of K9 and C(32, 15) = 565,722,720 of the 4-cube Q4
+        q4 = from_edges(16, [(u, u | 1 << b) for u in range(16) for b in range(4) if not u >> b & 1])
+        assert_max_leaf_tree(complete_graph(9), 8)
+        assert_max_leaf_tree(q4, 10)
 
 
 class TestConnectedDomination:
@@ -107,10 +129,11 @@ class TestFormulas:
         with pytest.raises(ValueError, match="the spanning-tree formula needs n >= 3"):
             mvx_n_formula(path_graph(2))
 
-    def test_mvx_n_formula_skips_the_subset_scan(self, monkeypatch):
-        # K8 has C(28, 7) = 1,184,040 edge sets; connected domination answers
+    def test_mvx_n_formula_builds_no_tree(self, monkeypatch):
+        # the formula reads n - gamma_c + 1 off connected domination and
+        # builds no spanning tree
         def refuse(*args, **kwargs):
-            raise AssertionError("the edge-subset scan was called")
+            raise AssertionError("max_leaf_spanning_tree was called")
 
         monkeypatch.setattr(mvx, "max_leaf_spanning_tree", refuse)
         assert mvx_n_formula(complete_graph(8)) == 8
@@ -169,9 +192,9 @@ class TestCutVertexRoute:
             mvx_via_cut_vertex(cycle_graph(5), 3)
 
     @pytest.mark.parametrize("source", [path_graph(4), star_graph(4)])
-    def test_dense_gadget_skips_the_subset_scan(self, monkeypatch, source):
-        # a 4-vertex tree's gadget has 10 vertices and 18 edges: C(18, 9) =
-        # 48,620 edge sets, which the domination search never scans
+    def test_dense_gadget_builds_no_tree(self, monkeypatch, source):
+        # the decision reads gamma_c off connected domination on the 10-vertex
+        # gadget and builds no spanning tree
         calls = []
 
         def recording(g, *args, **kwargs):
@@ -206,7 +229,8 @@ class TestCutVertexRoute:
             label = rng.sample(range(n), n)
             trees.append(from_edges(n, [(label[rng.randrange(v)], label[v]) for v in range(1, n)]))
         for t in trees:
-            core, leaves = minimum_connected_dominating_set(t), max_leaf_spanning_tree(t).leaf_count
+            core = minimum_connected_dominating_set(t)
+            leaves = oracles.max_leaf_by_array_union_find(t).leaf_count
             assert core == sum(1 << v for v in range(t.n) if t.degree(v) > 1), t.edges
             assert t.n - core.bit_count() == leaves
             res = mvx_via_cut_vertex(t, 2)
@@ -220,7 +244,8 @@ class TestCutVertexRoute:
             for g in enumerate_connected_graphs(n):
                 if cut_vertices(g):
                     core = minimum_connected_dominating_set(g)
-                    assert n - core.bit_count() == max_leaf_spanning_tree(g).leaf_count, g.edges
+                    leaves = oracles.max_leaf_by_array_union_find(g).leaf_count
+                    assert n - core.bit_count() == leaves, g.edges
                     assert connected_components(g, core) == [core]
                     assert closed_neighborhood(g, core) == g.full_mask
                     checked += 1
@@ -228,7 +253,7 @@ class TestCutVertexRoute:
 
     def test_domination_route_builds_no_tree(self, monkeypatch):
         # the value and witness are read off the core, on a gadget and on
-        # K8, without building a spanning tree
+        # K8, without building a spanning tree (each one is built by BFS)
         def refuse(*args, **kwargs):
             raise AssertionError("bfs_tree called")
 
@@ -485,7 +510,7 @@ class TestExtraction:
                 cuts = cut_vertices(g)
                 if not cuts:
                     continue
-                best = max_leaf_spanning_tree(g).leaf_count
+                best = oracles.max_leaf_by_array_union_find(g).leaf_count
                 vc = mvx_exact(g, 2).witness
                 for v0 in iter_bits(cuts):
                     res = extract_mono_spanning_tree(vc, v0)
