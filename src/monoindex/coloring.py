@@ -20,7 +20,7 @@ handled as the explicit small cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
 
@@ -173,6 +173,36 @@ def _down_sets(n: int) -> list[int]:
     for h in range(n):
         down += [d | d << (1 << h) for d in down]
     return down
+
+
+def _connected_sets(g: Graph, hit: list[int]):
+    """``holding(s, x)``: the connected vertex sets of x + 1 vertices that meet
+    ``hit[t]`` for every t in s, in mask order, for the blocks of both exact
+    searches. Families of vertex sets are 2^n-bit ints, bit A for the set A.
+    Dropping a leaf of a spanning tree keeps a set connected, so each
+    connected set of x + 1 vertices is one of x plus a vertex v outside it
+    with a neighbour in it (bit A moves to A + 2^v): the layers grow so, on
+    first need. The sets of one size that meet every hit[t] take one AND per t.
+    """
+    n, full, down = g.n, g.full_mask, _down_sets(g.n)
+    # grow[v]: the sets without v that hold a neighbour of v; meets[t]: those meeting hit[t]
+    grow = [down[full ^ 1 << v] ^ down[full & ~(g.adj[v] | 1 << v)] for v in range(n)]
+    meets = [down[full] ^ down[full & ~h] for h in hit]
+    layers = [sum(1 << (1 << v) for v in range(n))]
+
+    @cache
+    def inside(s: int) -> int:  # via s less its low t
+        rest = s & s - 1
+        return meets[(s & -s).bit_length() - 1] & (inside(rest) if rest else -1)
+
+    def holding(s: int, x: int) -> list[int]:
+        while len(layers) <= x:
+            layers.append(0)
+            for v in range(n):
+                layers[-1] |= (layers[-2] & grow[v]) << (1 << v)
+        return list(iter_bits(layers[x] & inside(s)))
+
+    return holding
 
 
 class IndexResult(NamedTuple):

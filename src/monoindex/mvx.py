@@ -15,18 +15,14 @@ Splitting a color class into its components keeps every cover N[A] (see
 ``coloring``) and adds colors, so some optimal coloring has connected
 classes only: the blocks are the connected sets A of two or more vertices,
 each covering N[A]. A lone vertex v holds the subsets of N[v], and so does
-any block holding v, so those k-sets need no block at all.
-
-Families of vertex sets are 2^n-bit ints, bit A for the set A. Dropping a
-leaf of a spanning tree keeps a set connected, so each connected set of
-s + 1 vertices is one of s plus a vertex v outside it with a neighbour in it
-(bit A moves to A + 2^v). A block A holds a target s iff A meets N[t] for
-every t in s, so the blocks of one size that hold s take one AND per t in s.
+any block holding v, so those k-sets need no block at all. A block A holds
+a target s iff A meets N[t] for every t in s: ``coloring._connected_sets``
+lists them.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .coloring import (
@@ -34,6 +30,7 @@ from .coloring import (
     IndexResult,
     VertexColoring,
     _check_index_args,
+    _connected_sets,
     _down_sets,
     _k_set_bits,
     _least_excess,
@@ -180,22 +177,7 @@ def mvx_profile(g: Graph) -> tuple[IndexResult, ...]:
     closed = [0]  # closed[mask] = N[mask], doubled as in _down_sets
     for row in (adj[h] | 1 << h for h in range(n)):
         closed += [c | row for c in closed]
-    # meets[v]: the sets that meet N[v]; layers[x]: the connected sets of x + 1 vertices
-    meets = [down[full] ^ down[full & ~closed[1 << v]] for v in range(n)]
-    layers = [sum(1 << (1 << v) for v in range(n))]
-
-    @cache
-    def inside(s: int) -> int:  # the sets that meet N[t] for every t in s, via s less its low t
-        rest = s & s - 1
-        return meets[(s & -s).bit_length() - 1] & (inside(rest) if rest else -1)
-
-    def holding(s: int, x: int) -> list[int]:  # grows the layers up to x on first need
-        while len(layers) <= x:
-            layers.append(0)
-            for v in range(n):
-                layers[-1] |= (layers[-2] & meets[v] & down[full ^ 1 << v]) << (1 << v)
-        return list(iter_bits(layers[x] & inside(s)))
-
+    holding = _connected_sets(g, [closed[1 << v] for v in range(n)])
     base = diam = 0
     for v in range(n):
         base |= down[closed[1 << v]]

@@ -9,13 +9,22 @@ its output only.
 The exact search below is the independent check of that closed form (and
 the only exact route for k = 2, where mx_2 = mc).
 
-The exact search is ``coloring._least_excess`` over the edges.
+The exact search is ``coloring._least_excess`` over the edges, and its
+blocks are one tree per connected vertex set. That loses no optimum.
 ``normalize_to_forest`` shows that some optimal coloring has only tree
-classes. A one-edge class holds only its own adjacent pair, which no target
-needs: adjacent pairs are dropped at k = 2, and a k-set with k >= 3 does
-not fit in two vertices. So the blocks are the subtrees with two or more
-edges, each covering its vertex set; a spanning tree, of excess n - 2,
-holds every k-set. Their count, not m, sets the cost, and the budget.
+classes, and the merge of ``simplify_coloring`` that some optimal coloring
+has nontrivial trees pairwise sharing at most one vertex: t merged trees
+free at least t - 1 edges, so no color is lost. A one-edge class holds only
+its own adjacent pair, which no target needs: adjacent pairs are dropped at
+k = 2, and a k-set with k >= 3 does not fit in two vertices. So the classes
+that matter are trees spanning connected sets A of three or more vertices,
+excess |A| - 2, covering A. Sets pairwise sharing at most one vertex have
+edge-disjoint spanning trees, as a shared edge is two shared vertices, so
+the BFS tree of each A in place of its class keeps an optimal family in the
+search space. Every family the search returns is a valid coloring, so the
+search cannot beat the optimum either. A tree that holds a target has
+max(k, 3) vertices or more, so no block of excess below max(k, 3) - 2 is
+asked for; a spanning tree, of excess n - 2, holds every k-set.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .coloring import (
     EdgeColoring,
     IndexResult,
     _check_index_args,
+    _connected_sets,
     _edges_by_color,
     _least_excess,
     _split_into_trees,
@@ -34,8 +44,6 @@ from .coloring import (
     verify_mx_coloring,
 )
 from .graphs import BudgetError, Graph, bfs_tree, edge_forest, is_connected
-
-MAX_SUBTREES = 500_000  # K8 has 441,176 subtrees of two or more edges, K9 more
 
 
 def mx_k_formula(g: Graph, k: int) -> int:
@@ -94,56 +102,28 @@ def simplify_coloring(ec: EdgeColoring, k: int) -> EdgeColoring:
     return _split_into_trees(EdgeColoring(ec.graph, tuple(to.get(c, c) for c in ec.colors)), k)
 
 
-def _subtrees(g: Graph) -> dict[int, int]:
-    """{edge mask: vertex mask} of every subtree with at least two edges.
-
-    Each tree grows from its lowest edge by edges with one end in it (the
-    XOR of its vertices' incidence masks); an edge one child takes is
-    banned for the later children, so each tree is made exactly once.
-    """
-    ends = [1 << u | 1 << v for u, v in g.edges]
-    inc = [sum(1 << i for i, pair in enumerate(ends) if pair >> v & 1) for v in range(g.n)]
-    stack = [
-        (1 << i, ends[i], inc[u] ^ inc[v], (2 << i) - 1) for i, (u, v) in enumerate(g.edges)
-    ]
-    out: dict[int, int] = {}
-    while stack:
-        emask, vmask, boundary, banned = stack.pop()
-        if emask & emask - 1:
-            out[emask] = vmask
-            if len(out) > MAX_SUBTREES:
-                raise BudgetError(f"subtree search exceeds the budget of {MAX_SUBTREES} subtrees")
-        free = boundary & ~banned
-        while free:
-            f = free & -free
-            w = (ends[f.bit_length() - 1] & ~vmask).bit_length() - 1
-            stack.append((emask | f, vmask | 1 << w, boundary ^ inc[w], banned))
-            banned |= f
-            free ^= f
-    return out
-
-
 def mx_exact_bruteforce(g: Graph, k: int) -> IndexResult:
     """(value, witness): the maximum color count over all edge colorings
     valid at k and a coloring that uses it. The value is m - e, with e the
-    least total excess of edge-disjoint subtrees that hold every target
-    (module docstring), from ``coloring._least_excess``. The search is exact,
-    not brute force; the name stays for the API and perfbench's tracer.
-    Refuses more than MAX_KERNEL_VERTICES vertices, and then more than
-    MAX_SUBTREES subtrees, before any table is built.
+    least total excess of edge-disjoint trees, one per connected vertex set,
+    that hold every target (module docstring), from ``coloring._least_excess``.
+    The search is exact, not brute force; the name stays for the API and
+    perfbench's tracer. Refuses more than MAX_KERNEL_VERTICES vertices before
+    any table is built.
     """
     _check_index_args(g, k)
     if g.n > MAX_KERNEL_VERTICES:
         raise BudgetError(
-            f"subtree search over {g.n} vertices exceeds the budget of {MAX_KERNEL_VERTICES}"
+            f"exact search over {g.n} vertices exceeds the budget of {MAX_KERNEL_VERTICES}"
         )
-    trees = _subtrees(g)
-    levels: list[list[int]] = [[] for _ in range(g.m)]  # levels[x]: the trees of excess x
-    for tree in trees:
-        levels[tree.bit_count() - 1].append(tree)
-    # a tree that holds a target has max(k, 3) vertices or more
-    [(e, colors)] = _least_excess(
-        g.n, g.m, trees, lambda s, x: [t for t in levels[x] if trees[t] & s == s],
-        [_target_bits(g, k)], 0, max(k, 3) - 2,
-    )
+    edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
+    sets, cover = _connected_sets(g, [1 << v for v in range(g.n)]), {}
+
+    def holding(s: int, x: int) -> list[int]:  # the BFS tree of each set of x + 2 vertices
+        trees = {sum(map(edge_bit.get, bfs_tree(g, (a & -a).bit_length() - 1, a))): a
+                 for a in sets(s, x + 1)}
+        cover.update(trees)  # the tree's edge mask -> its vertex set
+        return list(trees)
+
+    [(e, colors)] = _least_excess(g.n, g.m, cover, holding, [_target_bits(g, k)], 0, max(k, 3) - 2)
     return IndexResult(g.m - e, EdgeColoring(g, colors))

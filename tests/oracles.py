@@ -15,8 +15,10 @@ against:
   lists (every target's, for every excess up to e, whether the search
   reaches them or not), called by ``mvx_profile_by_mask_scan``, the table
   side of the vertex index before its blocks were grown as bit-parallel
-  families, and by ``mx_by_eager_kernel``, the edge index over the
-  library's subtree list;
+  families, and by ``mx_by_eager_kernel``, the edge index over every
+  subtree of two or more edges (``_subtrees``, up to its own limit of
+  ``MAX_SUBTREES``), as the library searched it before it took one tree per
+  connected vertex set;
 - ``parse_graph6_by_bit_list``, the graph6 decoder as it was before it
   folded the data bytes into one int: a list of bits, read by index;
 - ``diameter_by_closure``, the diameter as it was before it walked only
@@ -87,10 +89,10 @@ from monoindex.graphs import (
     to_graph6,
 )
 from monoindex.mvx import SpanningTreeResult, mvx_profile
-from monoindex.mx import _subtrees
 from monoindex.partitions import set_partitions_with_blocks
 
 MAX_TREE_SUBSETS = 10_000_000  # the edge subsets max_leaf_by_array_union_find scans at most
+MAX_SUBTREES = 500_000  # K8 has 441,176 subtrees of two or more edges, K9 more
 
 
 def coverage_targets(g: Graph, k: int):
@@ -365,10 +367,41 @@ def least_excess_eager(
     return out
 
 
+def _subtrees(g: Graph) -> dict[int, int]:
+    """{edge mask: vertex mask} of every subtree with at least two edges, up
+    to ``MAX_SUBTREES`` of them.
+
+    Each tree grows from its lowest edge by edges with one end in it (the
+    XOR of its vertices' incidence masks); an edge one child takes is
+    banned for the later children, so each tree is made exactly once.
+    """
+    ends = [1 << u | 1 << v for u, v in g.edges]
+    inc = [sum(1 << i for i, pair in enumerate(ends) if pair >> v & 1) for v in range(g.n)]
+    stack = [
+        (1 << i, ends[i], inc[u] ^ inc[v], (2 << i) - 1) for i, (u, v) in enumerate(g.edges)
+    ]
+    out: dict[int, int] = {}
+    while stack:
+        emask, vmask, boundary, banned = stack.pop()
+        if emask & emask - 1:
+            out[emask] = vmask
+            if len(out) > MAX_SUBTREES:
+                raise BudgetError(f"subtree search exceeds the budget of {MAX_SUBTREES} subtrees")
+        free = boundary & ~banned
+        while free:
+            f = free & -free
+            w = (ends[f.bit_length() - 1] & ~vmask).bit_length() - 1
+            stack.append((emask | f, vmask | 1 << w, boundary ^ inc[w], banned))
+            banned |= f
+            free ^= f
+    return out
+
+
 def mx_by_eager_kernel(g, k: int) -> tuple[int, tuple[int, ...]]:
-    """(mx_k, witness colors) from ``least_excess_eager`` over the subtrees
-    of two or more edges, set up as ``mx_exact_bruteforce`` sets up the
-    library's kernel. Callers check the arguments and their budget first."""
+    """(mx_k, witness colors) from ``least_excess_eager`` over every subtree
+    of two or more edges (``_subtrees``), the blocks the library searched
+    before it took one tree per connected vertex set. Callers check the
+    arguments first."""
     trees = _subtrees(g)
     levels: list[list[int]] = [[] for _ in range(g.m)]
     for tree in trees:

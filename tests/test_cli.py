@@ -75,6 +75,17 @@ class TestMx:
         cert = parse_coloring_certificate(witness.read_text())
         assert cert.num_colors == 4
 
+    def test_exact_k9_witness_verifies(self, capsys, tmp_path):
+        # K9 has more subtrees than any subtree list could hold; its exact
+        # witness uses m - n + 2 = 29 colors and is valid at k = 3
+        witness = tmp_path / "w.txt"
+        argv = ("mx", "--graph", to_graph6(complete_graph(9)), "--k", "3", "--exact")
+        code, out, _ = run_cli(capsys, *argv, "--witness", str(witness))
+        assert (code, out) == (0, "29\n")
+        assert parse_coloring_certificate(witness.read_text()).num_colors == 29
+        code, out, _ = run_cli(capsys, "verify", "--coloring", str(witness), "--k", "3")
+        assert (code, out) == (0, "valid\n")
+
     def test_repeated_edge_exits_2_before_any_work(self, capsys, monkeypatch):
         # the header announces 4 edges; collapsing "1 0" onto "0 1" would
         # answer for the path on 3 edges

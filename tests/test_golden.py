@@ -168,7 +168,10 @@ def test_mx_exact_witnesses():
                 res = mx_exact_bruteforce(g, k)
                 rows.append((to_graph6(g), k, res.value, res.witness.colors))
     assert len(rows) == 282
-    assert witness_digest(rows) == "2f38a97cf736dde623bc6efa4e1abe897e9ad0bc80ae70a368e4030117e60111"
+    # the values on their own, as the witnesses depend on which tree spans a set
+    assert sha256("".join(f"{g6} {k} {value}\n" for g6, k, value, _ in rows)) == (
+        "5a22ec819975422f7334cda83104b8466c6d74362d7458222072ed35caccab81")
+    assert witness_digest(rows) == "836244ed9d42ac64ab98aafcdad76f8ee91ed5b4051048e676bfa7eb980f2631"
 
 
 def test_cut_vertex_witnesses():

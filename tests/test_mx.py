@@ -201,7 +201,8 @@ class TestAgainstFreshColorRecolorings:
                 normalized += forest.colors != ec.renumbered().colors
                 simplified += simple.colors != forest.colors
                 reordered += top >= 1
-        assert (cases, normalized, simplified) == (951, 782, 290)
+        # the counts follow the exact witness fed in
+        assert (cases, normalized, simplified) == (951, 761, 315)
         assert reordered == 900  # cases with two or more colors, whose order the reversal changes
 
 
@@ -224,9 +225,12 @@ class TestBruteforce:
                     assert mx_exact_bruteforce(g, k).value == mx_k_formula(g, k)
 
     def test_budget(self):
-        # K9 has more subtrees than MAX_SUBTREES (500,000); K7 has 29,169
-        with pytest.raises(BudgetError, match="budget of 500000 subtrees"):
-            mx_exact_bruteforce(complete_graph(9), 3)
+        # only MAX_KERNEL_VERTICES bounds the search: K9, with more subtrees
+        # than a subtree list could hold, and K12 answer, each with a witness
+        for n, k, value in ((9, 2, 36), (9, 3, 29), (MAX_KERNEL_VERTICES, 3, 56)):
+            res = mx_exact_bruteforce(complete_graph(n), k)
+            assert res.value == value
+            assert res.witness.num_colors == value and verify_mx_coloring(res.witness, k)
         assert mx_exact_bruteforce(complete_graph(7), 3).value == 16
 
     def test_complete_graph_mc(self):
@@ -266,19 +270,21 @@ class TestAgainstPartitionSearch:
                     cases += 1
         assert cases == 399
 
-    def test_same_value_and_witness_as_eager_kernel(self):
-        # the kernel that builds block lists on demand against the one that
-        # built them for every excess up to e: equal values and identical
-        # witness colors on every connected graph with 3 <= n <= 6
+    def test_same_value_as_eager_kernel_and_a_valid_witness(self):
+        # one tree per connected vertex set, blocks listed on demand, against
+        # every subtree, blocks listed for every excess up to e: equal values,
+        # and a witness with that many colors valid at k, on every connected
+        # graph with n <= 7 at k = 2 and 3
         cases = 0
-        for n in range(3, 7):
+        for n in range(2, 8):
             for g in enumerate_connected_graphs(n):
-                for k in (2, 3):
+                for k in range(2, min(n, 3) + 1):
                     res = mx_exact_bruteforce(g, k)
-                    assert (res.value, res.witness.colors) == oracles.mx_by_eager_kernel(g, k), (
-                        n, g.edges, k)
+                    assert res.value == oracles.mx_by_eager_kernel(g, k)[0], (n, g.edges, k)
+                    assert res.witness.num_colors == res.value
+                    assert verify_mx_coloring(res.witness, k), (n, g.edges, k)
                     cases += 1
-        assert cases == 282
+        assert cases == 1989
 
     def test_blocks_asked_for_on_demand(self, monkeypatch):
         # the kernel asks for the trees of excess x holding target s at most
