@@ -213,26 +213,27 @@ class IndexResult(NamedTuple):
 
 
 def _least_excess(
-    n: int, size: int, cover, holding, target_sets: list[int], low: int, least: int
+    n: int, cover, holding, target_sets: list[int], low: int, least: int, ceiling
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Both exact indices: for each set of targets in turn, the least total
     excess e, from low or from the e of the set before, of element-disjoint
-    blocks whose covers hold every target, with the witness colors (each
-    chosen block one color, every other element its own). The index is
-    size - e.
+    blocks whose covers hold every target, with the blocks chosen. The index
+    is the element count less e; ``_block_colors`` gives the witness.
 
-    Elements are bits 0..size-1: the edges or the vertices of an n-vertex
-    graph. A block is a mask of two or more elements, of excess popcount - 1
-    and vertex cover ``cover[block]``. The caller supplies the blocks:
-    ``holding(s, x)`` lists those of excess x whose covers hold the vertex
-    set s. A target set is a 2^n-bit set of vertex sets. For each e, the
-    lowest target left out is branched on over the blocks that hold it,
-    share no element with the chosen ones and fit what is left of e: by
-    ascending excess, then in ``holding`` order. ``holding(s, x)`` is
-    called at most once per (s, x), when the search first reaches excess
-    x at target s, and never for x below ``least``: no block of such an
-    excess holds a target, so a block that leaves less of e than ``least``
-    must hold every target left.
+    Elements are the edges or the vertices of an n-vertex graph. A block is a
+    mask of two or more elements, of excess popcount - 1 and vertex cover
+    ``cover[block]``. The caller supplies the blocks: ``holding(s, x)`` lists
+    those of excess x whose covers hold the vertex set s. A target set is a
+    2^n-bit set of vertex sets. For each e, the lowest target left out is
+    branched on over the blocks that hold it, share no element with the
+    chosen ones and fit what is left of e: by ascending excess, then in
+    ``holding`` order. ``holding(s, x)`` is called at most once per (s, x),
+    when the search first reaches excess x at target s, and never for x below
+    ``least``: no block of such an excess holds a target, so a block that
+    leaves less of e than ``least`` must hold every target left. The caller's
+    ``ceiling`` = (top, blocks) is a family of excess top that holds every
+    target of every set: the search never runs at e = top, and answers with
+    those blocks once no family of smaller excess exists.
     """
     down = _down_sets(n)
     held: dict[int, list[list[int]]] = {}  # target -> per excess reached, its blocks
@@ -258,19 +259,20 @@ def _least_excess(
         return None
 
     out = []
-    e, last = low, None
+    e, (top, fallback) = low, ceiling
     for targets in target_sets:
-        while (chosen := family(0, 0, e)) is None:
+        chosen = None
+        while e < top and (chosen := family(0, 0, e)) is None:
             e += 1
-            if e == size:  # past the excess of every element in one block
-                raise RuntimeError("unreachable: some family of blocks holds every target")
-        if chosen != last:
-            # the color of an element is its block's mask, or its own bit
-            owner = {i: b for b in chosen for i in iter_bits(b)}
-            labels = [owner.get(i, 1 << i) for i in range(size)]
-            last, colors = chosen, _renumber(labels)
-        out.append((e, colors))
+        out.append((e, fallback if chosen is None else chosen))
     return out
+
+
+def _block_colors(size: int, blocks) -> tuple[int, ...]:
+    """The coloring of elements 0..size-1 that gives each block one color
+    and every other element its own, numbered by first appearance."""
+    owner = {i: b for b in blocks for i in iter_bits(b)}
+    return _renumber([owner.get(i, 1 << i) for i in range(size)])
 
 
 def _check_index_args(g: Graph, k: int) -> None:

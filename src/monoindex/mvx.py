@@ -18,17 +18,38 @@ each covering N[A]. A lone vertex v holds the subsets of N[v], and so does
 any block holding v, so those k-sets need no block at all. A block A holds
 a target s iff A meets N[t] for every t in s: ``coloring._connected_sets``
 lists them.
+
+Two numbers settle most k without the search. tau is the least size of a
+vertex set in no N[v] (none if some N[v] = V, and then mvx_k = n at every
+k), and gamma_c - 1 the least excess of a block that dominates.
+- Below tau every k-set lies in some N[v], so the all-distinct coloring is
+  valid: mvx_k = n.
+- At every k, k = 2 included, the core (a minimum connected dominating set)
+  as one color and every other vertex its own is valid, as N[core] = V:
+  mvx_k >= n - gamma_c + 1. So the search never needs excess gamma_c - 1.
+- For k >= 3 and k >= tau + gamma_c - 2, mvx_k = n - gamma_c + 1. Take an
+  optimal coloring with connected classes, of excess e. A dominating class
+  has gamma_c vertices or more, so e >= gamma_c - 1. Otherwise pick a vertex
+  outside N[A] for each class A of two or more vertices, at most e of them,
+  and add a set of tau vertices in no N[v]. The union lies in no cover, and
+  padded to k vertices, which k >= 3 keeps from being an adjacent pair, it
+  is a k-set that the coloring leaves out, unless e + tau > k. Either way
+  e >= gamma_c - 1.
+The search runs at k = 2 when tau = 2 and in the window tau <= k < tau +
+gamma_c - 2, with that core as its ceiling.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import NamedTuple
 
 from .coloring import (
     MAX_KERNEL_VERTICES,
     IndexResult,
     VertexColoring,
+    _block_colors,
     _check_index_args,
     _connected_sets,
     _down_sets,
@@ -162,9 +183,7 @@ def mvx_exact(g: Graph, k: int) -> IndexResult:
 @lru_cache(maxsize=1)
 def mvx_profile(g: Graph) -> tuple[IndexResult, ...]:
     """The (value, witness) results for k = 2..n, one witness per distinct
-    coloring, from one least-excess search (module docstring). It starts at
-    e = diam - 2, as mvx_k <= n - diam + 2, and each k at the e of k - 1, as
-    validity only shrinks as k grows.
+    coloring, from ``_excess_profile``.
     Refuses g if disconnected, then if n > MAX_KERNEL_VERTICES, before any table.
     """
     _check_index_args(g, 2)
@@ -172,23 +191,46 @@ def mvx_profile(g: Graph) -> tuple[IndexResult, ...]:
         raise BudgetError(
             f"exact search over {g.n} vertices exceeds the budget of {MAX_KERNEL_VERTICES}"
         )
-    n, adj, full = g.n, g.adj, g.full_mask
-    down = _down_sets(n)
-    closed = [0]  # closed[mask] = N[mask], doubled as in _down_sets
-    for row in (adj[h] | 1 << h for h in range(n)):
-        closed += [c | row for c in closed]
-    holding = _connected_sets(g, [closed[1 << v] for v in range(n)])
-    base = diam = 0
-    for v in range(n):
-        base |= down[closed[1 << v]]
-        seen, steps = 1 << v, 0
-        while seen != full:
-            seen, steps = closed[seen], steps + 1
-        diam = max(diam, steps)
+    found = _excess_profile(g, 2)
+    colors = {blocks: _block_colors(g.n, blocks) for blocks in {blocks for _, blocks in found}}
+    witness = {c: VertexColoring(g, c) for c in colors.values()}
+    return tuple(IndexResult(g.n - e, witness[colors[blocks]]) for e, blocks in found)
+
+
+def _excess_profile(g: Graph, first: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(e, blocks) for k = first..n on a connected g of at most
+    MAX_KERNEL_VERTICES vertices: mvx_k = n - e, each block one color (module
+    docstring). tau is the first k with a target, and gamma_c - 1 the least
+    x with a block of excess x holding V, the first of which is the core.
+    The search starts at e = diam - 2, as mvx_k <= n - diam + 2, and each k
+    at the e of k - 1, as validity only shrinks as k grows.
+    """
+    n, full, down = g.n, g.full_mask, _down_sets(g.n)
+    hit = [g.adj[v] | 1 << v for v in range(n)]
+    base = reduce(or_, (down[h] for h in hit))  # the sets inside some N[v]
     target_sets = [_k_set_bits(n, k) & ~base for k in range(2, n + 1)]
-    found = _least_excess(n, n, closed, holding, target_sets, max(diam - 2, 0), least=1)
-    witness = {c: VertexColoring(g, c) for c in {c for _, c in found}}
-    return tuple(IndexResult(n - e, witness[c]) for e, c in found)
+    tau = next((k for k, targets in enumerate(target_sets, 2) if targets), n + 1)
+    if tau > n:
+        return [(0, ())] * (n + 1 - first)
+    holding, top = _connected_sets(g, hit), 0
+    while not (cores := holding(full, top)):
+        top += 1
+    ceiling = (top, (cores[0],))
+    lo, hi = max(first, tau), min(max(3, tau + top - 1), n + 1)
+    found = []
+    if lo < hi:
+        closed, diam = [0], 0  # closed[mask] = N[mask], doubled as in _down_sets
+        for row in hit:
+            closed += [c | row for c in closed]
+        for v in range(n):
+            seen, steps = 1 << v, 0
+            while seen != full:
+                seen, steps = closed[seen], steps + 1
+            diam = max(diam, steps)
+        found = _least_excess(
+            n, closed, holding, target_sets[lo - 2 : hi - 2], max(diam - 2, 0), 1, ceiling
+        )
+    return [(0, ())] * (lo - first) + found + [ceiling] * (n + 1 - max(lo, hi))
 
 
 def cycle_mvc_formula(n: int) -> int:
@@ -213,7 +255,17 @@ def complement_cycle_mvx(n: int, k: int) -> int:
 
 def _mod4_threshold(n: int) -> int:
     """The last k before the closed forms step down: (n-1)/2 for odd n,
-    n/2 - 1 when 4 | n, and n/2 otherwise."""
+    n/2 - 1 when 4 | n, and n/2 otherwise.
+
+    For the complement of C_n (n >= 6) it is tau - 1 (module docstring):
+    there V - N[v] = {v - 1, v + 1}, so a set lies in no N[v] iff it is a
+    vertex cover of the graph joining vertices two apart on C_n, which is
+    C_n for odd n and two copies of C_{n/2} for even n. A cycle C_m needs
+    ceil(m/2) cover vertices, so tau is (n+1)/2, n/2 or n/2 + 1 for n odd,
+    n = 0 and n = 2 (mod 4). Two vertices three apart on C_n are adjacent and
+    dominate, so gamma_c = 2, the window is empty and the index is n below
+    tau and n - 1 from tau on: ``complement_cycle_mvx``.
+    """
     if n % 2 == 1:
         return (n - 1) // 2
     if n % 4 == 0:

@@ -24,7 +24,9 @@ the BFS tree of each A in place of its class keeps an optimal family in the
 search space. Every family the search returns is a valid coloring, so the
 search cannot beat the optimum either. A tree that holds a target has
 max(k, 3) vertices or more, so no block of excess below max(k, 3) - 2 is
-asked for; a spanning tree, of excess n - 2, holds every k-set.
+asked for. The BFS spanning tree, of excess n - 2, holds every k-set, so it
+is the search's ceiling: mx_k >= m - n + 2 at every k, and no family of
+excess n - 2 or more is searched for.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .coloring import (
     MAX_KERNEL_VERTICES,
     EdgeColoring,
     IndexResult,
+    _block_colors,
     _check_index_args,
     _connected_sets,
     _edges_by_color,
@@ -125,5 +128,7 @@ def mx_exact_bruteforce(g: Graph, k: int) -> IndexResult:
         cover.update(trees)  # the tree's edge mask -> its vertex set
         return list(trees)
 
-    [(e, colors)] = _least_excess(g.n, g.m, cover, holding, [_target_bits(g, k)], 0, max(k, 3) - 2)
-    return IndexResult(g.m - e, EdgeColoring(g, colors))
+    tree = sum(map(edge_bit.get, bfs_tree(g, 0)))
+    [(e, chosen)] = _least_excess(g.n, cover, holding, [_target_bits(g, k)], 0, max(k, 3) - 2,
+                                  (g.n - 2, (tree,)))
+    return IndexResult(g.m - e, EdgeColoring(g, _block_colors(g.m, chosen)))

@@ -15,10 +15,12 @@ against:
   lists (every target's, for every excess up to e, whether the search
   reaches them or not), called by ``mvx_profile_by_mask_scan``, the table
   side of the vertex index before its blocks were grown as bit-parallel
-  families, and by ``mx_by_eager_kernel``, the edge index over every
-  subtree of two or more edges (``_subtrees``, up to its own limit of
-  ``MAX_SUBTREES``), as the library searched it before it took one tree per
-  connected vertex set;
+  families and before tau and gamma_c answered most k (it searches every
+  k, up to one block of every vertex), and by ``mx_by_eager_kernel``, the
+  edge index over every subtree of two or more edges (``_subtrees``, up to
+  its own limit of ``MAX_SUBTREES``), as the library searched it before it
+  took one tree per connected vertex set; ``block_colors`` colors the
+  blocks either one returns;
 - ``parse_graph6_by_bit_list``, the graph6 decoder as it was before it
   folded the data bytes into one int: a list of bits, read by index;
 - ``diameter_by_closure``, the diameter as it was before it walked only
@@ -44,9 +46,9 @@ against:
   every one-vertex extension of every parent, and ``children_by_orbit_walk``
   lists the children the enumerator canonicalized when it walked every
   orbit of a parent's known automorphisms and extended its least mask;
-- ``survey_by_two_profiles``, the survey loop before it reused a
-  representative's index profile for the complement in its class: two
-  profiles per co-connected class;
+- ``survey_by_two_profiles``, the survey loop before it routed each graph
+  by tau and gamma_c: two profiles per co-connected class, from
+  ``mvx_profile_by_mask_scan``;
 - ``normalize_by_fresh_colors`` and ``simplify_by_pairs``, the two edge
   recolorings before simplification became normalization of merged
   classes: each gives every edge it frees a fresh color id, and
@@ -88,7 +90,7 @@ from monoindex.graphs import (
     mask_from,
     to_graph6,
 )
-from monoindex.mvx import SpanningTreeResult, mvx_profile
+from monoindex.mvx import SpanningTreeResult
 from monoindex.partitions import set_partitions_with_blocks
 
 MAX_TREE_SUBSETS = 10_000_000  # the edge subsets max_leaf_by_array_union_find scans at most
@@ -321,13 +323,14 @@ def diameter_by_closure(g) -> int:
 
 
 def least_excess_eager(
-    n: int, size: int, cover, holding, target_sets: list[int], low: int, least: int
+    n: int, cover, holding, target_sets: list[int], low: int, least: int, ceiling
 ) -> list[tuple[int, tuple[int, ...]]]:
     """``coloring._least_excess`` with eager block lists: a target's first
     visit asks ``holding`` for every excess from 0 up to the current e, and
-    each rise of e asks it once more for every target seen so far. The
-    search, its branching order and its witnesses are those of the
-    library's kernel; only the calls to ``holding`` differ."""
+    each rise of e below the ceiling asks it once more for every target seen
+    so far. The search, its branching order, its ceiling and the blocks it
+    returns are those of the library's kernel; only the calls to ``holding``
+    differ."""
     down = _down_sets(n)
     held: dict[int, list[list[int]]] = {}  # target -> per excess up to e, its blocks
 
@@ -351,20 +354,22 @@ def least_excess_eager(
         return None
 
     out = []
-    e, last = low, None
+    e, (top, fallback) = low, ceiling
     for targets in target_sets:
-        while (chosen := family(0, 0, e)) is None:
+        chosen = None
+        while e < top and (chosen := family(0, 0, e)) is None:
             e += 1
-            if e == size:  # past the excess of every element in one block
-                raise RuntimeError("unreachable: some family of blocks holds every target")
-            for s, hold in held.items():
-                hold.append(holding(s, e))
-        if chosen != last:
-            # the color of an element is its block's mask, or its own bit
-            labels = [next((b for b in chosen if b >> i & 1), 1 << i) for i in range(size)]
-            last, colors = chosen, _renumber(labels)
-        out.append((e, colors))
+            if e < top:
+                for s, hold in held.items():
+                    hold.append(holding(s, e))
+        out.append((e, fallback if chosen is None else chosen))
     return out
+
+
+def block_colors(size: int, blocks) -> tuple[int, ...]:
+    """Each block one color, every other element its own, renumbered."""
+    labels = [next((b for b in blocks if b >> i & 1), 1 << i) for i in range(size)]
+    return _renumber(labels)
 
 
 def _subtrees(g: Graph) -> dict[int, int]:
@@ -406,11 +411,12 @@ def mx_by_eager_kernel(g, k: int) -> tuple[int, tuple[int, ...]]:
     levels: list[list[int]] = [[] for _ in range(g.m)]
     for tree in trees:
         levels[tree.bit_count() - 1].append(tree)
-    [(e, colors)] = least_excess_eager(
-        g.n, g.m, trees, lambda s, x: [t for t in levels[x] if trees[t] & s == s],
-        [_target_bits(g, k)], 0, max(k, 3) - 2,
+    every_edge = (1 << g.m) - 1  # one color on every edge, of excess m - 1, holds every k-set
+    [(e, blocks)] = least_excess_eager(
+        g.n, trees, lambda s, x: [t for t in levels[x] if trees[t] & s == s],
+        [_target_bits(g, k)], 0, max(k, 3) - 2, (g.m - 1, (every_edge,)),
     )
-    return g.m - e, colors
+    return g.m - e, block_colors(g.m, blocks)
 
 
 def mvx_profile_by_mask_scan(g) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -442,14 +448,14 @@ def mvx_profile_by_mask_scan(g) -> tuple[tuple[int, tuple[int, ...]], ...]:
     target_sets = [sum(1 << s for s in coverage_targets(g, k)) & ~base for k in range(2, n + 1)]
     found = least_excess_eager(
         n,
-        n,
         blocks,
         lambda s, x: [b for b in levels[x] if blocks[b] & s == s],
         target_sets,
         max(diameter_by_closure(g) - 2, 0),
-        least=1,
+        1,
+        (n - 1, (g.full_mask,)),  # one color on every vertex, of excess n - 1, holds every k-set
     )
-    return tuple((n - e, colors) for e, colors in found)
+    return tuple((n - e, block_colors(n, chosen)) for e, chosen in found)
 
 
 def mx_by_rgs_search(g, k: int):
@@ -756,16 +762,17 @@ def max_leaf_by_array_union_find(g: Graph) -> SpanningTreeResult:
 
 def survey_by_two_profiles(n: int) -> list[survey.SurveyRecord]:
     """The records of ``survey_bounds(n)`` from the index profile of every
-    co-connected graph and of its complement. The graphs come from
+    co-connected graph and of its complement, each searched at every k by
+    ``mvx_profile_by_mask_scan``. The graphs come from
     ``survey.enumerate_coconnected``, looked up at call time, so a test
     that replaces it feeds this loop and the library the same graphs."""
     records = []
     for g in survey.enumerate_coconnected(n):
         gbar = complement(g)
         g6, g6bar = to_graph6(g), to_graph6(gbar)
-        vals_g, vals_gbar = mvx_profile(g), mvx_profile(gbar)
+        vals_g, vals_gbar = mvx_profile_by_mask_scan(g), mvx_profile_by_mask_scan(gbar)
         for k in range(3, n + 1):
-            a, b = vals_g[k - 2].value, vals_gbar[k - 2].value
+            a, b = vals_g[k - 2][0], vals_gbar[k - 2][0]
             lower = survey.expected_lower_bound(n, k) if n >= 5 else None
             upper = 2 * n - 2 if survey.upper_bound_applies(n, k) else None
             records.append(

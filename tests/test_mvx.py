@@ -22,11 +22,14 @@ from monoindex.graphs import (
     from_edges,
     is_connected,
     iter_bits,
+    mask_from,
+    parse_graph6,
     path_graph,
     star_graph,
 )
 from monoindex.mvx import (
     MAX_KERNEL_VERTICES,
+    _mod4_threshold,
     complement_cycle_mvx,
     connected_domination_number,
     cycle_mvc_formula,
@@ -335,10 +338,11 @@ class TestExactSearch:
         assert again == first[2] and again is not first[2]
 
     def test_profile_agrees_with_mask_scan_oracle(self):
-        # values and witness colors of the bit-parallel tables against the
-        # mask loop they replace: every connected graph with n <= 7, the 49
-        # reduction gadgets (8-12 vertices), C12, P12, the complement of C12
-        # and 100 seeded graphs with 9-12 vertices
+        # values of the route and the bit-parallel tables against the mask
+        # loop that searches every k, and a witness with exactly that many
+        # colors that is valid at k: every connected graph with n <= 7, the
+        # 49 reduction gadgets (8-12 vertices), C12, P12, the complement of
+        # C12 and 100 seeded graphs with 9-12 vertices
         graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
         assert len(graphs) == 995
         graphs += [build_gadget(g) for n in range(3, 6) for g in enumerate_graphs(n)]
@@ -351,25 +355,28 @@ class TestExactSearch:
             g = from_edges(n, pairs)
             graphs.append(g if is_connected(g) else complement(g))
         for g in graphs:
-            found = tuple((r.value, r.witness.colors) for r in mvx.mvx_profile(g))
-            assert found == oracles.mvx_profile_by_mask_scan(g), g.edges
+            found = mvx.mvx_profile(g)
+            values = [v for v, _ in oracles.mvx_profile_by_mask_scan(g)]
+            assert [r.value for r in found] == values, g.edges
+            for k, (value, witness) in enumerate(found, 2):
+                assert witness.num_colors == value and verify_mvx_coloring(witness, k), (g.edges, k)
 
     def test_blocks_asked_for_on_demand(self, monkeypatch):
         # the kernel asks for the blocks of excess x holding target s at most
-        # once, never at excess 0, and only for what the eager kernel asked
-        # for too, with the same result: over every connected graph with
-        # n <= 7 it asks for fewer
+        # once, never at excess 0 nor at the core's excess gamma_c - 1, and
+        # only for what the eager kernel asked for too, with the same result:
+        # over every connected graph with n <= 7 it asks for fewer
         kernel, totals = mvx._least_excess, [0, 0]
 
-        def spy(n, size, cover, holding, targets, low, least):
+        def spy(n, cover, holding, targets, low, least, ceiling):
             lazy, eager = [], []
-            found = kernel(n, size, cover, lambda s, x: lazy.append((s, x)) or holding(s, x),
-                           targets, low, least)
+            found = kernel(n, cover, lambda s, x: lazy.append((s, x)) or holding(s, x),
+                           targets, low, least, ceiling)
             assert found == oracles.least_excess_eager(
-                n, size, cover, lambda s, x: eager.append((s, x)) or holding(s, x),
-                targets, low, least)
+                n, cover, lambda s, x: eager.append((s, x)) or holding(s, x),
+                targets, low, least, ceiling)
             assert len(lazy) == len(set(lazy)) and set(lazy) <= set(eager)
-            assert least == 1 and all(x >= least for _, x in lazy)
+            assert least == 1 and all(least <= x < ceiling[0] for _, x in lazy)
             totals[0] += len(lazy)
             totals[1] += len(eager)
             return found
@@ -417,6 +424,44 @@ class TestExactSearch:
         cc = complement(cycle_graph(n))
         for k in range(3, n + 1):
             assert mvx_exact(cc, k).value == complement_cycle_mvx(n, k), (n, k)
+
+
+class TestTauAndConnectedDominationRoute:
+    """mvx_k = n below tau, n - gamma_c + 1 from max(3, tau + gamma_c - 2)
+    on, and searched in between (module docstring)."""
+
+    def test_window_pair_above_the_core(self):
+        # the one 8-vertex window pair above n - gamma_c + 1: k = 3 on GBYlug
+        g = parse_graph6("GBYlug")
+        assert connected_domination_number(g) == 3
+        profile = mvx.mvx_profile(g)
+        assert [r.value for r in profile] == [8, 7, 6, 6, 6, 6, 6]
+        for k, (value, witness) in enumerate(profile, 2):
+            assert witness.num_colors == value and verify_mvx_coloring(witness, k)
+
+    def test_core_is_a_minimum_connected_dominating_set(self):
+        # at k = n the witness gives a connected dominating class, the core
+        # (a lone vertex when one dominates), one color and every other vertex
+        # its own, and that class has gamma_c vertices
+        for n in range(2, 8):
+            for g in enumerate_connected_graphs(n):
+                colors = mvx_exact(g, n).witness.colors
+                classes = [mask_from(v for v in range(n) if colors[v] == c) for c in set(colors)]
+                core = next(a for a in classes if closed_neighborhood(g, a) == g.full_mask)
+                assert core.bit_count() == connected_domination_number(g), g.edges
+                assert len(classes) == n - core.bit_count() + 1
+                assert connected_components(g, core) == [core]
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_complement_cycle_threshold_is_tau_minus_one(self, n):
+        # a set lies in no closed neighbourhood of the complement of C_n iff
+        # it is a vertex cover of "two apart on C_n" (see _mod4_threshold)
+        g = complement(cycle_graph(n))
+        distinct = VertexColoring(g, tuple(range(n)))
+        tau = next(k for k in range(2, n + 1) if not verify_mvx_coloring(distinct, k))
+        assert tau - 1 == _mod4_threshold(n)
+        profile = mvx.mvx_profile(g)
+        assert [r.value for r in profile[1:]] == [complement_cycle_mvx(n, k) for k in range(3, n + 1)]
 
 
 def test_every_exact_route_returns_value_and_witness():

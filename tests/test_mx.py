@@ -202,7 +202,7 @@ class TestAgainstFreshColorRecolorings:
                 simplified += simple.colors != forest.colors
                 reordered += top >= 1
         # the counts follow the exact witness fed in
-        assert (cases, normalized, simplified) == (951, 761, 315)
+        assert (cases, normalized, simplified) == (951, 767, 309)
         assert reordered == 900  # cases with two or more colors, whose order the reversal changes
 
 
@@ -288,19 +288,20 @@ class TestAgainstPartitionSearch:
 
     def test_blocks_asked_for_on_demand(self, monkeypatch):
         # the kernel asks for the trees of excess x holding target s at most
-        # once, never below the least excess of a tree holding a k-set, and
-        # only for what the eager kernel asked for too, with the same result
+        # once, never below the least excess of a tree holding a k-set nor at
+        # the spanning tree's n - 2, and only for what the eager kernel asked
+        # for too, with the same result
         kernel, totals = mx._least_excess, [0, 0]
 
-        def spy(n, size, cover, holding, targets, low, least):
+        def spy(n, cover, holding, targets, low, least, ceiling):
             lazy, eager = [], []
-            found = kernel(n, size, cover, lambda s, x: lazy.append((s, x)) or holding(s, x),
-                           targets, low, least)
+            found = kernel(n, cover, lambda s, x: lazy.append((s, x)) or holding(s, x),
+                           targets, low, least, ceiling)
             assert found == oracles.least_excess_eager(
-                n, size, cover, lambda s, x: eager.append((s, x)) or holding(s, x),
-                targets, low, least)
+                n, cover, lambda s, x: eager.append((s, x)) or holding(s, x),
+                targets, low, least, ceiling)
             assert len(lazy) == len(set(lazy)) and set(lazy) <= set(eager)
-            assert all(x >= least for _, x in lazy)
+            assert ceiling[0] == n - 2 and all(least <= x < n - 2 for _, x in lazy)
             totals[0] += len(lazy)
             totals[1] += len(eager)
             return found

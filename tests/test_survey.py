@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from monoindex import survey
+from monoindex import mvx, survey
 from monoindex.cli import main
 from monoindex.coloring import VertexColoring, verify_mvx_coloring, write_coloring_certificate
 from monoindex.graphs import (
@@ -134,25 +134,29 @@ class TestSurvey:
     def test_matches_two_profile_oracle(self, n):
         assert survey_bounds(n) == oracles.survey_by_two_profiles(n)
 
-    def test_one_index_profile_per_class(self, monkeypatch):
-        # every n = 7 complement is named by its invariant; the two-profile
-        # loop made 1,324 calls
-        calls = [0]
+    def test_kernel_searches_only_non_empty_windows(self, monkeypatch):
+        # each graph and complement is routed by tau and gamma_c from k = 3:
+        # of the 1,324 at n = 7, the search runs on the 76 whose window is
+        # non-empty, and no witness is colored
+        kernel, searched = mvx._least_excess, []
 
-        def counted(g):
-            calls[0] += 1
-            return mvx_profile(g)
+        def counted(*args):
+            searched.append(args)
+            return kernel(*args)
 
-        monkeypatch.setattr(survey, "mvx_profile", counted)
+        def refuse(*args):
+            raise AssertionError("a witness was colored")
+
+        monkeypatch.setattr(mvx, "_least_excess", counted)
+        monkeypatch.setattr(mvx, "_block_colors", refuse)
         survey_bounds(7)
-        assert calls[0] == 662
+        assert len(searched) == 76
 
-    def test_shared_invariant_falls_back_to_own_profile(self, monkeypatch):
+    def test_cube_and_wagner_match_the_two_profile_oracle(self, monkeypatch):
         # the cube Q3 and the Wagner graph are both 3-regular and triangle-free
-        # on 8 vertices, so their invariants agree, yet their profiles differ;
-        # reusing either one's values for the other's complement is wrong
+        # on 8 vertices, yet their profiles differ; each side of each pair is
+        # routed on its own and must give the oracle's records
         cube, wagner = CUBE_AND_WAGNER[:2]
-        assert survey._invariant_hash(cube) == survey._invariant_hash(wagner)
         assert [r.value for r in mvx_profile(cube)] == [6, 5, 5, 5, 5, 5, 5]
         assert [r.value for r in mvx_profile(wagner)] == [8, 6, 6, 6, 6, 6, 6]
         monkeypatch.setattr(survey, "enumerate_coconnected", lambda n: iter(CUBE_AND_WAGNER))
