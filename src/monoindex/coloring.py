@@ -25,6 +25,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .graphs import (
+    BudgetError,
     Graph,
     _least_set,
     closed_neighborhood,
@@ -168,7 +169,12 @@ def _k_set_bits(n: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def _down_sets(n: int) -> list[int]:
     """down[mask], a 2^n-bit int with bit s set for every subset s of mask:
-    a mask's subsets are those of the mask less its top bit h, with and without h."""
+    a mask's subsets are those of the mask less its top bit h, with and without h.
+    Refuses n > MAX_KERNEL_VERTICES, the one refusal of both exact searches."""
+    if n > MAX_KERNEL_VERTICES:
+        raise BudgetError(
+            f"exact search over {n} vertices exceeds the budget of {MAX_KERNEL_VERTICES}"
+        )
     down = [1]
     for h in range(n):
         down += [d | d << (1 << h) for d in down]

@@ -484,27 +484,25 @@ def _canonical(adj: tuple[int, ...]) -> tuple[int, set[tuple[int, ...]]]:
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int, connected: bool) -> tuple[tuple[Graph, frozenset], ...]:
-    """Each representative with the automorphisms its canonical searches found.
+def _classes(n: int) -> tuple[tuple[Graph, frozenset], ...]:
+    """Each connected representative with the automorphisms its searches found.
 
-    Each (n-1)-vertex representative P is extended by every mask that no
-    known automorphism of P maps lower, as the neighborhood of a new last
-    vertex v = n - 1, and a child is canonicalized only if no vertex u
-    whose deletion keeps the kind has f(u) > f(v), where f(u) is (deg u,
-    sum of the degrees of u's neighbors): for connected graphs those u are
-    the non-cut vertices, else every vertex.
+    Each (n-1)-vertex representative P is extended by every nonempty mask
+    that no known automorphism of P maps lower, as the neighborhood of a new
+    last vertex v = n - 1; the child is canonicalized unless a non-cut vertex
+    u has f(u) > f(v), f(u) being (deg u, the degree sum of u's neighbors).
 
-    No class is lost: let w maximize f over those vertices of a class G (a
-    connected graph on two or more vertices has a non-cut vertex). G - w
-    has the same kind, so some parent P is its canonical copy, and that
-    isomorphism with w -> v makes a child P + v isomorphic to G, in which
-    v maximizes f because f and the kind of a deletion are invariant.
-    Automorphisms of P carry that mask over its orbit, each image giving an
-    isomorphic child in which v still maximizes f, and the orbit's least
-    mask has no image below it, so it is extended. Other masks that pass,
-    and ties, give children isomorphic to ones already made: the dict keyed
-    by canonical code drops them at the cost of a canonical search, so the
-    output is what canonicalizing every child would give.
+    No class is lost: let w maximize f over the non-cut vertices of a class
+    G (a connected graph on two or more vertices has one). G - w is
+    connected, so some parent P is its canonical copy, and that isomorphism
+    with w -> v makes a child P + v isomorphic to G, in which v maximizes f
+    because f and being a cut vertex are invariant. Automorphisms of P
+    carry that mask over its orbit, each image giving an isomorphic child
+    in which v still maximizes f, and the orbit's least mask has no image
+    below it, so it is extended. Other masks that pass, and ties, give
+    children isomorphic to ones already made: the dict keyed by canonical
+    code drops them at the cost of a canonical search, so the output is
+    what canonicalizing every child would give.
     """
     if not 1 <= n <= ENUMERATION_MAX_VERTICES:
         raise BudgetError(
@@ -514,7 +512,7 @@ def _classes(n: int, connected: bool) -> tuple[tuple[Graph, frozenset], ...]:
         return ((Graph(1, (0,)), frozenset()),)
     v = n - 1
     found: dict[int, tuple[Graph, set]] = {}
-    for parent, perms in _classes(v, connected):
+    for parent, perms in _classes(v):
         # u is a non-cut vertex of parent + v iff v meets every part of parent - u
         parts = [connected_components(parent, parent.full_mask & ~(1 << u)) for u in range(v)]
         images = []  # images[k][mask]: mask moved by the k-th automorphism
@@ -524,7 +522,7 @@ def _classes(n: int, connected: bool) -> tuple[tuple[Graph, frozenset], ...]:
                 low = mask & -mask
                 image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
             images.append(image)
-        for mask in range(int(connected), 1 << v):
+        for mask in range(1, 1 << v):
             if any(image[mask] < mask for image in images):
                 continue
             adj = tuple(parent.adj[i] | (mask >> i & 1) << v for i in range(v)) + (mask,)
@@ -533,7 +531,7 @@ def _classes(n: int, connected: bool) -> tuple[tuple[Graph, frozenset], ...]:
             if any(
                 # f(u) > f(v); u's neighbor sum is needed only on a degree tie
                 (deg[u] > dv or deg[u] == dv and sum(deg[w] for w in iter_bits(adj[u])) > sv)
-                and (not connected or all(part & mask for part in parts[u]))
+                and all(part & mask for part in parts[u])
                 for u in range(v)
             ):
                 continue
@@ -550,9 +548,13 @@ def enumerate_connected_graphs(n: int):
     Representatives are canonically labeled and stream in ascending canonical
     code, so the order is reproducible byte for byte.
     """
-    yield from (g for g, _ in _classes(n, True))
+    yield from (g for g, _ in _classes(n))
 
 
 def enumerate_graphs(n: int):
-    """Like enumerate_connected_graphs but without the connectivity filter."""
-    yield from (g for g, _ in _classes(n, False))
+    """Every class: the connected ones and, as a graph or its complement is
+    connected, the canonical forms of their disconnected complements, in
+    graph6 order (ascending canonical code for a fixed n)."""
+    connected = [g for g, _ in _classes(n)]
+    others = [canonical_form(h) for h in map(complement, connected) if not is_connected(h)]
+    yield from sorted(connected + others, key=to_graph6)

@@ -46,7 +46,6 @@ from operator import or_
 from typing import NamedTuple
 
 from .coloring import (
-    MAX_KERNEL_VERTICES,
     IndexResult,
     VertexColoring,
     _block_colors,
@@ -58,7 +57,6 @@ from .coloring import (
     verify_mvx_coloring,
 )
 from .graphs import (
-    BudgetError,
     Graph,
     _least_set,
     bfs_tree,
@@ -184,13 +182,9 @@ def mvx_exact(g: Graph, k: int) -> IndexResult:
 def mvx_profile(g: Graph) -> tuple[IndexResult, ...]:
     """The (value, witness) results for k = 2..n, one witness per distinct
     coloring, from ``_excess_profile``.
-    Refuses g if disconnected, then if n > MAX_KERNEL_VERTICES, before any table.
+    Refuses g if disconnected, then (in ``_down_sets``) if n > MAX_KERNEL_VERTICES.
     """
     _check_index_args(g, 2)
-    if g.n > MAX_KERNEL_VERTICES:
-        raise BudgetError(
-            f"exact search over {g.n} vertices exceeds the budget of {MAX_KERNEL_VERTICES}"
-        )
     found = _excess_profile(g, 2)
     colors = {blocks: _block_colors(g.n, blocks) for blocks in {blocks for _, blocks in found}}
     witness = {c: VertexColoring(g, c) for c in colors.values()}

@@ -34,7 +34,6 @@ from __future__ import annotations
 from itertools import count
 
 from .coloring import (
-    MAX_KERNEL_VERTICES,
     EdgeColoring,
     IndexResult,
     _block_colors,
@@ -46,7 +45,7 @@ from .coloring import (
     _target_bits,
     verify_mx_coloring,
 )
-from .graphs import BudgetError, Graph, bfs_tree, edge_forest, is_connected
+from .graphs import Graph, bfs_tree, edge_forest, is_connected
 
 
 def mx_k_formula(g: Graph, k: int) -> int:
@@ -111,16 +110,12 @@ def mx_exact_bruteforce(g: Graph, k: int) -> IndexResult:
     least total excess of edge-disjoint trees, one per connected vertex set,
     that hold every target (module docstring), from ``coloring._least_excess``.
     The search is exact, not brute force; the name stays for the API and
-    perfbench's tracer. Refuses more than MAX_KERNEL_VERTICES vertices before
-    any table is built.
+    perfbench's tracer. Refuses more than MAX_KERNEL_VERTICES vertices at the
+    down-set table, before anything of size m is built.
     """
     _check_index_args(g, k)
-    if g.n > MAX_KERNEL_VERTICES:
-        raise BudgetError(
-            f"exact search over {g.n} vertices exceeds the budget of {MAX_KERNEL_VERTICES}"
-        )
-    edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
     sets, cover = _connected_sets(g, [1 << v for v in range(g.n)]), {}
+    edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
 
     def holding(s: int, x: int) -> list[int]:  # the BFS tree of each set of x + 2 vertices
         trees = {sum(map(edge_bit.get, bfs_tree(g, (a & -a).bit_length() - 1, a))): a

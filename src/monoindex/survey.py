@@ -86,7 +86,8 @@ def upper_bound_applies(n: int, k: int) -> bool:
 
 
 def survey_bounds(n: int) -> list[SurveyRecord]:
-    """All survey records for n, sorted by (n, g6, k); every verdict must pass.
+    """All survey records for n, in (n, g6, k) order as built: the graphs come
+    in canonical code order, which is g6 order, and k ascends. Every verdict must pass.
     Each graph and each complement is routed on its own (``mvx._excess_profile``
     from k = 3): the search runs only where a window is non-empty.
 
@@ -104,7 +105,6 @@ def survey_bounds(n: int) -> list[SurveyRecord]:
             a, b = n - e, n - ebar
             records.append(SurveyRecord(n, k, g6, g6bar, a, b, a + b, lower, upper,
                                         SurveyRecord.grade(a + b, lower, upper)))
-    records.sort(key=lambda r: (r.n, r.g6, r.k))
     return records
 
 

@@ -619,13 +619,13 @@ def canonical_by_columns(g: Graph) -> tuple[int, Graph]:
     return code, Graph(n, tuple(rows))
 
 
-def reps_by_invariant_filter(n: int, connected: bool) -> tuple[Graph, ...]:
-    """Canonical representatives on n vertices in ascending canonical code.
+def reps_by_invariant_filter(n: int) -> tuple[Graph, ...]:
+    """Connected representatives on n vertices in ascending canonical code.
 
-    Each parent is extended by every neighborhood of a new last vertex v,
-    and a child is canonicalized (by ``canonical_by_columns``) only if no
-    vertex u whose deletion keeps the kind has f(u) > f(v), with f(u) =
-    (deg u, sum of the degrees of u's neighbors).
+    Each parent is extended by every nonempty neighborhood of a new last
+    vertex v, and a child is canonicalized (by ``canonical_by_columns``)
+    only if no non-cut vertex u has f(u) > f(v), with f(u) = (deg u, sum of
+    the degrees of u's neighbors).
     """
     if not 1 <= n <= ENUMERATION_MAX_VERTICES:
         raise BudgetError(
@@ -635,16 +635,16 @@ def reps_by_invariant_filter(n: int, connected: bool) -> tuple[Graph, ...]:
         return (Graph(1, (0,)),)
     v = n - 1
     found: dict[int, Graph] = {}
-    for parent in reps_by_invariant_filter(v, connected):
+    for parent in reps_by_invariant_filter(v):
         # u is a non-cut vertex of parent + v iff v meets every part of parent - u
         parts = [connected_components(parent, parent.full_mask & ~(1 << u)) for u in range(v)]
-        for mask in range(int(connected), 1 << v):
+        for mask in range(1, 1 << v):
             adj = tuple(parent.adj[i] | (mask >> i & 1) << v for i in range(v)) + (mask,)
             deg = [row.bit_count() for row in adj]
             dv, sv = deg[v], sum(deg[w] for w in iter_bits(mask))
             if any(
                 (deg[u] > dv or deg[u] == dv and sum(deg[w] for w in iter_bits(adj[u])) > sv)
-                and (not connected or all(part & mask for part in parts[u]))
+                and all(part & mask for part in parts[u])
                 for u in range(v)
             ):
                 continue
@@ -654,18 +654,18 @@ def reps_by_invariant_filter(n: int, connected: bool) -> tuple[Graph, ...]:
     return tuple(g for _, g in sorted(found.items()))
 
 
-def children_by_orbit_walk(n: int, connected: bool) -> list[tuple[int, ...]]:
+def children_by_orbit_walk(n: int) -> list[tuple[int, ...]]:
     """The rows of the n-vertex children the orbit-walk enumerator
     canonicalized, in order.
 
-    Each parent of ``_classes(n - 1, connected)`` is extended by the least
+    Each parent of ``_classes(n - 1)`` is extended by the least
     neighborhood in each orbit of its known automorphisms, found by walking
     the orbit through the automorphisms' image tables, and the child is
     listed if it passes the invariant filter of ``reps_by_invariant_filter``.
     """
     v = n - 1
     children = []
-    for parent, perms in _classes(v, connected):
+    for parent, perms in _classes(v):
         parts = [connected_components(parent, parent.full_mask & ~(1 << u)) for u in range(v)]
         images = []
         for perm in perms:
@@ -675,7 +675,7 @@ def children_by_orbit_walk(n: int, connected: bool) -> list[tuple[int, ...]]:
                 image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
             images.append(image)
         seen = bytearray(1 << v)
-        for mask in range(int(connected), 1 << v):
+        for mask in range(1, 1 << v):
             if seen[mask]:
                 continue
             orbit = [mask]
@@ -690,7 +690,7 @@ def children_by_orbit_walk(n: int, connected: bool) -> list[tuple[int, ...]]:
             dv, sv = deg[v], sum(deg[w] for w in iter_bits(mask))
             if not any(
                 (deg[u] > dv or deg[u] == dv and sum(deg[w] for w in iter_bits(adj[u])) > sv)
-                and (not connected or all(part & mask for part in parts[u]))
+                and all(part & mask for part in parts[u])
                 for u in range(v)
             ):
                 children.append(adj)

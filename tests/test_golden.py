@@ -84,6 +84,7 @@ ENUMERATE_COMMANDS = {
     "enumerate --n 4 --all": "90dac4101b2308668c0995aea7179b90a669a4441b316ccd1c4f11e8b6cb42d1",
     "enumerate --n 5 --all": "370b6e6bd8b9d46d68c22faca1e575af817df8eb48b339d87efec02362f5e67d",
     "enumerate --n 6 --all": "a3ca99c373d2970f1faf1c4f97a51c19130b53dedc9c19f4b19f5ea5259ec616",
+    "enumerate --n 7 --all": "958b9cf5cb054599ce190bbb916ca571e55ed801cdad235c6ef37f0e53d0629e",
 }
 
 

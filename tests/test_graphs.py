@@ -67,15 +67,20 @@ def spy_canonical(monkeypatch) -> list[tuple[int, ...]]:
     return children
 
 
-def count_canonical_calls(monkeypatch, n: int, connected: bool) -> tuple[int, int]:
+def count_canonical_calls(monkeypatch, n: int) -> tuple[int, int]:
     """(classes, canonical searches) of a cold enumeration of every level up to n."""
     children = spy_canonical(monkeypatch)
-    return len(graphs._classes(n, connected)), len(children)
+    return len(graphs._classes(n)), len(children)
 
 
 @lru_cache(maxsize=None)
-def class_codes(n: int, connected: bool) -> frozenset[int]:
-    return frozenset(canonical_code(g) for g, _ in graphs._classes(n, connected))
+def class_codes(n: int) -> frozenset[int]:
+    return frozenset(canonical_code(g) for g, _ in graphs._classes(n))
+
+
+@lru_cache(maxsize=None)
+def all_class_codes(n: int) -> frozenset[int]:
+    return frozenset(canonical_code(g) for g in enumerate_graphs(n))
 
 
 class TestGraphBasics:
@@ -338,9 +343,10 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("connected", [True, False])
     def test_filter_matches_full_extension(self, connected):
-        # the filter only skips candidates: same classes, same order, same labels
+        # the filter only skips candidates: same classes, same order, same
+        # labels; every graph is a connected class or a complement of one
         for n in range(1, 7):
-            reps = tuple(g for g, _ in graphs._classes(n, connected))
+            reps = tuple(enumerate_connected_graphs(n) if connected else enumerate_graphs(n))
             assert reps == oracles.reps_by_full_extension(n, connected)
 
     @given(st.integers(1, 7), st.integers(0, 2**21 - 1), st.permutations(range(7)))
@@ -350,11 +356,11 @@ class TestEnumeration:
         perm = [p for p in perm if p < n]
         relabeled = from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
         code = canonical_code(relabeled)
-        assert code in class_codes(n, False)
-        assert (code in class_codes(n, True)) == is_connected(g)
+        assert code in all_class_codes(n)
+        assert (code in class_codes(n)) == is_connected(g)
 
     def test_filter_canonicalizes_about_one_candidate_per_class(self, monkeypatch):
-        classes, calls = count_canonical_calls(monkeypatch, 7, True)
+        classes, calls = count_canonical_calls(monkeypatch, 7)
         assert classes == 853
         # full extension canonicalizes 7,815 candidates for these 853 classes;
         # each class needs at least one call, so a warm cache cannot pass
@@ -362,18 +368,18 @@ class TestEnumeration:
 
     def test_orbit_pruning_keeps_canonical_calls_under_1150(self, monkeypatch):
         # the invariant filter alone makes 1,701 calls here
-        classes, calls = count_canonical_calls(monkeypatch, 7, True)
+        classes, calls = count_canonical_calls(monkeypatch, 7)
         assert classes == 853
         assert 853 <= calls <= 1150
 
-    @pytest.mark.parametrize("connected", [True, False])
+    @pytest.mark.parametrize("connected", [True])
     def test_matches_invariant_filter_oracle(self, connected):
         # orbit pruning only skips candidates: same classes, same order, same labels
-        for n in range(1, 8 if connected else 7):
-            reps = tuple(g for g, _ in graphs._classes(n, connected))
-            assert reps == oracles.reps_by_invariant_filter(n, connected)
+        for n in range(1, 8):
+            reps = tuple(g for g, _ in graphs._classes(n))
+            assert reps == oracles.reps_by_invariant_filter(n)
 
-    @pytest.mark.parametrize("connected", [True, False])
+    @pytest.mark.parametrize("connected", [True])
     def test_classes_match_the_automorphism_search_oracle(self, monkeypatch, connected):
         # the children each level canonicalizes, run through the search that
         # relabeled and converted on every call, give the same representatives
@@ -382,31 +388,30 @@ class TestEnumeration:
         children = spy_canonical(monkeypatch)
         for n in range(2, 8):
             children.clear()
-            got = graphs._classes(n, connected)
+            got = graphs._classes(n)
             want: dict[int, tuple[Graph, set]] = {}
             for adj in children:
                 code, canon, auts = oracles.canonical_with_automorphisms(Graph(n, adj))
                 want.setdefault(code, (canon, set()))[1].update(auts)
             assert got == tuple((g, frozenset(a)) for _, (g, a) in sorted(want.items())), n
 
-    @pytest.mark.parametrize("connected", [True, False])
+    @pytest.mark.parametrize("connected", [True])
     def test_children_match_the_orbit_walk_oracle(self, monkeypatch, connected):
         # a mask no known automorphism maps lower is extended; at every level
         # that canonicalizes exactly the children the walk over each orbit
         # did, so the work is unchanged (n = 8 is pinned in CI)
         children = spy_canonical(monkeypatch)
-        calls = [1, 2, 6, 21, 114, 905] if connected else [2, 4, 11, 34, 159, 1096]
-        for n, want in zip(range(2, 8), calls):
+        for n, want in zip(range(2, 8), [1, 2, 6, 21, 114, 905]):
             children.clear()
-            graphs._classes(n, connected)
+            graphs._classes(n)
             assert len(children) == want, n
-            assert children == oracles.children_by_orbit_walk(n, connected), n
+            assert children == oracles.children_by_orbit_walk(n), n
 
-    @pytest.mark.parametrize("connected", [True, False])
+    @pytest.mark.parametrize("connected", [True])
     def test_pruning_permutations_are_automorphisms(self, connected):
         used = 0
         for n in range(1, 8):
-            for g, auts in graphs._classes(n, connected):
+            for g, auts in graphs._classes(n):
                 for perm in auts:
                     assert is_automorphism(g, perm), (n, g.edges, perm)
                     used += 1

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 import monoindex
 from monoindex import mvx
-from monoindex.coloring import VertexColoring, verify_mvx_coloring, verify_mx_coloring
+from monoindex.coloring import (
+    MAX_KERNEL_VERTICES,
+    VertexColoring,
+    verify_mvx_coloring,
+    verify_mx_coloring,
+)
 from monoindex.graphs import (
     BudgetError,
     Graph,
@@ -28,7 +33,6 @@ from monoindex.graphs import (
     star_graph,
 )
 from monoindex.mvx import (
-    MAX_KERNEL_VERTICES,
     _mod4_threshold,
     complement_cycle_mvx,
     connected_domination_number,
