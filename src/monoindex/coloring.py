@@ -20,7 +20,7 @@ handled as the explicit small cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
 
@@ -182,13 +182,13 @@ def _down_sets(n: int) -> list[int]:
 
 
 def _connected_sets(g: Graph, hit: list[int]):
-    """``holding(s, x)``: the connected vertex sets of x + 1 vertices that meet
-    ``hit[t]`` for every t in s, in mask order, for the blocks of both exact
-    searches. Families of vertex sets are 2^n-bit ints, bit A for the set A.
-    Dropping a leaf of a spanning tree keeps a set connected, so each
-    connected set of x + 1 vertices is one of x plus a vertex v outside it
-    with a neighbour in it (bit A moves to A + 2^v): the layers grow so, on
-    first need. The sets of one size that meet every hit[t] take one AND per t.
+    """``holding(s, x)``: the connected vertex sets A of x + 1 vertices that
+    meet ``hit[t]`` for every t in s, in mask order, each with its cover, the
+    OR of hit[v] over A (N[A] from closed rows): both exact searches' blocks.
+    Families of vertex sets are 2^n-bit ints, bit A for the set A. Dropping a
+    leaf of a spanning tree keeps a set connected, so each connected set of
+    x + 1 vertices is one of x plus a vertex v outside it with a neighbour in
+    it (bit A moves to A + 2^v): the layers grow so, on first need.
     """
     n, full, down = g.n, g.full_mask, _down_sets(g.n)
     # grow[v]: the sets without v that hold a neighbour of v; meets[t]: those meeting hit[t]
@@ -196,17 +196,18 @@ def _connected_sets(g: Graph, hit: list[int]):
     meets = [down[full] ^ down[full & ~h] for h in hit]
     layers = [sum(1 << (1 << v) for v in range(n))]
 
-    @cache
-    def inside(s: int) -> int:  # via s less its low t
-        rest = s & s - 1
-        return meets[(s & -s).bit_length() - 1] & (inside(rest) if rest else -1)
-
-    def holding(s: int, x: int) -> list[int]:
+    def holding(s: int, x: int) -> list[tuple[int, int]]:
         while len(layers) <= x:
-            layers.append(0)
-            for v in range(n):
-                layers[-1] |= (layers[-2] & grow[v]) << (1 << v)
-        return list(iter_bits(layers[x] & inside(s)))
+            layers.append(reduce(or_, ((layers[-1] & grow[v]) << (1 << v) for v in range(n))))
+        sets, pairs = layers[x], []
+        for t in iter_bits(s):
+            sets &= meets[t]
+        for a in iter_bits(sets):
+            cover, rest = 0, a  # the OR of hit[v] over v in a
+            while rest:
+                cover, rest = cover | hit[(rest & -rest).bit_length() - 1], rest & rest - 1
+            pairs.append((a, cover))
+        return pairs
 
     return holding
 
@@ -219,7 +220,7 @@ class IndexResult(NamedTuple):
 
 
 def _least_excess(
-    n: int, cover, holding, target_sets: list[int], low: int, least: int, ceiling
+    n: int, holding, target_sets: list[int], low: int, least: int, ceiling
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Both exact indices: for each set of targets in turn, the least total
     excess e, from low or from the e of the set before, of element-disjoint
@@ -227,9 +228,9 @@ def _least_excess(
     is the element count less e; ``_block_colors`` gives the witness.
 
     Elements are the edges or the vertices of an n-vertex graph. A block is a
-    mask of two or more elements, of excess popcount - 1 and vertex cover
-    ``cover[block]``. The caller supplies the blocks: ``holding(s, x)`` lists
-    those of excess x whose covers hold the vertex set s. A target set is a
+    mask of two or more elements, of excess popcount - 1. The caller supplies
+    the blocks: ``holding(s, x)`` lists those of excess x whose covers hold
+    the vertex set s, as (block, vertex cover) pairs. A target set is a
     2^n-bit set of vertex sets. For each e, the lowest target left out is
     branched on over the blocks that hold it, share no element with the
     chosen ones and fit what is left of e: by ascending excess, then in
@@ -242,7 +243,7 @@ def _least_excess(
     those blocks once no family of smaller excess exists.
     """
     down = _down_sets(n)
-    held: dict[int, list[list[int]]] = {}  # target -> per excess reached, its blocks
+    held: dict[int, list[list[tuple[int, int]]]] = {}  # target -> per excess reached, its pairs
 
     def family(union: int, used: int, budget: int):
         rest = targets & ~union
@@ -253,10 +254,10 @@ def _least_excess(
         for excess in range(least, budget + 1):
             if excess == len(levels):
                 levels.append(holding(s, excess))
-            for block in levels[excess]:
+            for block, cover in levels[excess]:
                 if block & used:
                     continue
-                below = union | down[cover[block]]
+                below = union | down[cover]
                 if budget - excess < least and targets & ~below:
                     continue
                 found = family(below, used | block, budget - excess)

@@ -137,9 +137,9 @@ def complement(g: Graph) -> Graph:
 
 def closed_neighborhood(g: Graph, mask: int) -> int:
     """N[mask]: the vertices of mask and every neighbor of one of them."""
-    out = mask
-    for v in iter_bits(mask):
-        out |= g.adj[v]
+    out, adj = mask, g.adj
+    while mask:
+        out, mask = out | adj[(mask & -mask).bit_length() - 1], mask & mask - 1
     return out
 
 

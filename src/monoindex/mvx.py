@@ -17,7 +17,7 @@ classes only: the blocks are the connected sets A of two or more vertices,
 each covering N[A]. A lone vertex v holds the subsets of N[v], and so does
 any block holding v, so those k-sets need no block at all. A block A holds
 a target s iff A meets N[t] for every t in s: ``coloring._connected_sets``
-lists them.
+lists them, each with N[A].
 
 Two numbers settle most k without the search. tau is the least size of a
 vertex set in no N[v] (none if some N[v] = V, and then mvx_k = n at every
@@ -196,8 +196,9 @@ def _excess_profile(g: Graph, first: int) -> list[tuple[int, tuple[int, ...]]]:
     MAX_KERNEL_VERTICES vertices: mvx_k = n - e, each block one color (module
     docstring). tau is the first k with a target, and gamma_c - 1 the least
     x with a block of excess x holding V, the first of which is the core.
-    The search starts at e = diam - 2, as mvx_k <= n - diam + 2, and each k
-    at the e of k - 1, as validity only shrinks as k grows.
+    Blocks come with their covers N[A]. The search starts at e = diam - 2
+    (``graphs.diameter``), as mvx_k <= n - diam + 2, and each k at the e of
+    k - 1, as validity only shrinks as k grows.
     """
     n, full, down = g.n, g.full_mask, _down_sets(g.n)
     hit = [g.adj[v] | 1 << v for v in range(n)]
@@ -209,21 +210,10 @@ def _excess_profile(g: Graph, first: int) -> list[tuple[int, tuple[int, ...]]]:
     holding, top = _connected_sets(g, hit), 0
     while not (cores := holding(full, top)):
         top += 1
-    ceiling = (top, (cores[0],))
+    ceiling = (top, (cores[0][0],))
     lo, hi = max(first, tau), min(max(3, tau + top - 1), n + 1)
-    found = []
-    if lo < hi:
-        closed, diam = [0], 0  # closed[mask] = N[mask], doubled as in _down_sets
-        for row in hit:
-            closed += [c | row for c in closed]
-        for v in range(n):
-            seen, steps = 1 << v, 0
-            while seen != full:
-                seen, steps = closed[seen], steps + 1
-            diam = max(diam, steps)
-        found = _least_excess(
-            n, closed, holding, target_sets[lo - 2 : hi - 2], max(diam - 2, 0), 1, ceiling
-        )
+    found = [] if lo >= hi else _least_excess(
+        n, holding, target_sets[lo - 2 : hi - 2], max(diameter(g) - 2, 0), 1, ceiling)
     return [(0, ())] * (lo - first) + found + [ceiling] * (n + 1 - max(lo, hi))
 
 

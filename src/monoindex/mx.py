@@ -21,12 +21,13 @@ that matter are trees spanning connected sets A of three or more vertices,
 excess |A| - 2, covering A. Sets pairwise sharing at most one vertex have
 edge-disjoint spanning trees, as a shared edge is two shared vertices, so
 the BFS tree of each A in place of its class keeps an optimal family in the
-search space. Every family the search returns is a valid coloring, so the
-search cannot beat the optimum either. A tree that holds a target has
-max(k, 3) vertices or more, so no block of excess below max(k, 3) - 2 is
-asked for. The BFS spanning tree, of excess n - 2, holds every k-set, so it
-is the search's ceiling: mx_k >= m - n + 2 at every k, and no family of
-excess n - 2 or more is searched for.
+search space. The kernel gets each tree with A as its cover. Every family
+the search returns is a valid coloring, so the search cannot beat the
+optimum either. A tree that holds a target has max(k, 3) vertices or more,
+so no block of excess below max(k, 3) - 2 is asked for. The BFS spanning
+tree, of excess n - 2, holds every k-set, so it is the search's ceiling:
+mx_k >= m - n + 2 at every k, and no family of excess n - 2 or more is
+searched for.
 """
 
 from __future__ import annotations
@@ -108,22 +109,20 @@ def mx_exact_bruteforce(g: Graph, k: int) -> IndexResult:
     """(value, witness): the maximum color count over all edge colorings
     valid at k and a coloring that uses it. The value is m - e, with e the
     least total excess of edge-disjoint trees, one per connected vertex set,
-    that hold every target (module docstring), from ``coloring._least_excess``.
-    The search is exact, not brute force; the name stays for the API and
-    perfbench's tracer. Refuses more than MAX_KERNEL_VERTICES vertices at the
-    down-set table, before anything of size m is built.
+    that hold every target (module docstring), from ``coloring._least_excess``,
+    each handed over with its vertex set as its cover. The search is exact,
+    not brute force; the name stays for the API and perfbench's tracer.
+    Refuses more than MAX_KERNEL_VERTICES vertices at the down-set table,
+    before anything of size m is built.
     """
     _check_index_args(g, k)
-    sets, cover = _connected_sets(g, [1 << v for v in range(g.n)]), {}
+    sets = _connected_sets(g, [1 << v for v in range(g.n)])
     edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
 
-    def holding(s: int, x: int) -> list[int]:  # the BFS tree of each set of x + 2 vertices
-        trees = {sum(map(edge_bit.get, bfs_tree(g, (a & -a).bit_length() - 1, a))): a
-                 for a in sets(s, x + 1)}
-        cover.update(trees)  # the tree's edge mask -> its vertex set
-        return list(trees)
+    def tree(a: int) -> int:  # the edge mask of the BFS tree of vertex set a
+        return sum(map(edge_bit.get, bfs_tree(g, (a & -a).bit_length() - 1, a)))
 
-    tree = sum(map(edge_bit.get, bfs_tree(g, 0)))
-    [(e, chosen)] = _least_excess(g.n, cover, holding, [_target_bits(g, k)], 0, max(k, 3) - 2,
-                                  (g.n - 2, (tree,)))
+    [(e, chosen)] = _least_excess(
+        g.n, lambda s, x: [(tree(a), a) for a, _ in sets(s, x + 1)], [_target_bits(g, k)], 0,
+        max(k, 3) - 2, (g.n - 2, (tree(g.full_mask),)))
     return IndexResult(g.m - e, EdgeColoring(g, _block_colors(g.m, chosen)))

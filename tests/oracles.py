@@ -323,7 +323,7 @@ def diameter_by_closure(g) -> int:
 
 
 def least_excess_eager(
-    n: int, cover, holding, target_sets: list[int], low: int, least: int, ceiling
+    n: int, holding, target_sets: list[int], low: int, least: int, ceiling
 ) -> list[tuple[int, tuple[int, ...]]]:
     """``coloring._least_excess`` with eager block lists: a target's first
     visit asks ``holding`` for every excess from 0 up to the current e, and
@@ -332,7 +332,7 @@ def least_excess_eager(
     returns are those of the library's kernel; only the calls to ``holding``
     differ."""
     down = _down_sets(n)
-    held: dict[int, list[list[int]]] = {}  # target -> per excess up to e, its blocks
+    held: dict[int, list[list[tuple[int, int]]]] = {}  # target -> per excess up to e, its pairs
 
     def family(union: int, used: int, budget: int):
         rest = targets & ~union
@@ -342,10 +342,10 @@ def least_excess_eager(
         if s not in held:
             held[s] = [holding(s, x) for x in range(e + 1)]
         for excess, level in enumerate(held[s][: budget + 1]):
-            for block in level:
+            for block, cover in level:
                 if block & used:
                     continue
-                below = union | down[cover[block]]
+                below = union | down[cover]
                 if budget - excess < least and targets & ~below:
                     continue
                 found = family(below, used | block, budget - excess)
@@ -413,7 +413,7 @@ def mx_by_eager_kernel(g, k: int) -> tuple[int, tuple[int, ...]]:
         levels[tree.bit_count() - 1].append(tree)
     every_edge = (1 << g.m) - 1  # one color on every edge, of excess m - 1, holds every k-set
     [(e, blocks)] = least_excess_eager(
-        g.n, trees, lambda s, x: [t for t in levels[x] if trees[t] & s == s],
+        g.n, lambda s, x: [(t, trees[t]) for t in levels[x] if trees[t] & s == s],
         [_target_bits(g, k)], 0, max(k, 3) - 2, (g.m - 1, (every_edge,)),
     )
     return g.m - e, block_colors(g.m, blocks)
@@ -448,8 +448,7 @@ def mvx_profile_by_mask_scan(g) -> tuple[tuple[int, tuple[int, ...]], ...]:
     target_sets = [sum(1 << s for s in coverage_targets(g, k)) & ~base for k in range(2, n + 1)]
     found = least_excess_eager(
         n,
-        blocks,
-        lambda s, x: [b for b in levels[x] if blocks[b] & s == s],
+        lambda s, x: [(b, blocks[b]) for b in levels[x] if blocks[b] & s == s],
         target_sets,
         max(diameter_by_closure(g) - 2, 0),
         1,

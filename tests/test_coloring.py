@@ -6,6 +6,7 @@ from monoindex import graphs
 from monoindex.coloring import (
     EdgeColoring,
     VertexColoring,
+    _connected_sets,
     mono_stree_exists,
     normalize_to_forest,
     parse_coloring_certificate,
@@ -16,12 +17,15 @@ from monoindex.coloring import (
 )
 from monoindex.graphs import (
     BudgetError,
+    closed_neighborhood,
     complement,
     complete_bipartite_graph,
     complete_graph,
+    connected_components,
     cycle_graph,
     enumerate_connected_graphs,
     from_edges,
+    iter_bits,
     mask_from,
     path_graph,
 )
@@ -216,6 +220,37 @@ class TestVerifiers:
         ec = spanning_path_coloring_c5()
         assert verify_mx_coloring(ec, 3)
         assert verify_mx_coloring(ec.merged(0, 1), 3)
+
+
+class TestConnectedSets:
+    def test_lists_each_connected_set_with_its_cover(self):
+        # every connected graph with n <= 6, closed rows and singletons: for
+        # each target set of at most two vertices and V, and each x < n, the
+        # connected sets of x + 1 vertices meeting hit[t] for every t in the
+        # target set, in mask order, each with the OR of hit over it as cover
+        calls = 0
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n):
+                connected = [a for a in range(1, 1 << n) if connected_components(g, a) == [a]]
+                closed = [g.adj[v] | 1 << v for v in range(n)]
+                targets = [0, g.full_mask] + [1 << u | 1 << v for v in range(n)
+                                              for u in range(v + 1)]
+                for hit in (closed, [1 << v for v in range(n)]):
+                    holding = _connected_sets(g, hit)
+                    for s in targets:
+                        for x in range(n):
+                            pairs = holding(s, x)
+                            assert [a for a, _ in pairs] == [
+                                a for a in connected if a.bit_count() == x + 1
+                                and all(a & hit[t] for t in iter_bits(s))], (g.edges, s, x)
+                            for a, cover in pairs:
+                                assert cover == mask_from(w for v in iter_bits(a)
+                                                          for w in iter_bits(hit[v]))
+                                assert hit is not closed or cover == closed_neighborhood(g, a)
+                            calls += 1
+        assert calls == 2 * sum(
+            (2 + n * (n + 1) // 2) * n * count
+            for n, count in zip(range(1, 7), (1, 1, 2, 6, 21, 112)))
 
 
 class TestNormalizeToForest:

@@ -369,16 +369,25 @@ class TestExactSearch:
         # the kernel asks for the blocks of excess x holding target s at most
         # once, never at excess 0 nor at the core's excess gamma_c - 1, and
         # only for what the eager kernel asked for too, with the same result:
-        # over every connected graph with n <= 7 it asks for fewer
+        # over every connected graph with n <= 7 it asks for fewer; each
+        # block it is handed carries its cover N[A]
         kernel, totals = mvx._least_excess, [0, 0]
 
-        def spy(n, cover, holding, targets, low, least, ceiling):
+        def spy(n, holding, targets, low, least, ceiling):
             lazy, eager = [], []
-            found = kernel(n, cover, lambda s, x: lazy.append((s, x)) or holding(s, x),
-                           targets, low, least, ceiling)
+
+            def logged(log):
+                def listed(s, x):
+                    log.append((s, x))
+                    pairs = holding(s, x)
+                    assert all(cover == closed_neighborhood(g, a) for a, cover in pairs)
+                    return pairs
+
+                return listed
+
+            found = kernel(n, logged(lazy), targets, low, least, ceiling)
             assert found == oracles.least_excess_eager(
-                n, cover, lambda s, x: eager.append((s, x)) or holding(s, x),
-                targets, low, least, ceiling)
+                n, logged(eager), targets, low, least, ceiling)
             assert len(lazy) == len(set(lazy)) and set(lazy) <= set(eager)
             assert least == 1 and all(least <= x < ceiling[0] for _, x in lazy)
             totals[0] += len(lazy)
