@@ -183,12 +183,13 @@ def _down_sets(n: int) -> list[int]:
 
 def _connected_sets(g: Graph, hit: list[int]):
     """``holding(s, x)``: the connected vertex sets A of x + 1 vertices that
-    meet ``hit[t]`` for every t in s, in mask order, each with its cover, the
-    OR of hit[v] over A (N[A] from closed rows): both exact searches' blocks.
-    Families of vertex sets are 2^n-bit ints, bit A for the set A. Dropping a
-    leaf of a spanning tree keeps a set connected, so each connected set of
-    x + 1 vertices is one of x plus a vertex v outside it with a neighbour in
-    it (bit A moves to A + 2^v): the layers grow so, on first need.
+    meet ``hit[t]`` for every t in s, in mask order, each with the family of
+    vertex sets inside its cover, the OR of hit[v] over A (N[A] from closed
+    rows): both exact searches' blocks. Families of vertex sets are 2^n-bit
+    ints, bit A for the set A. Dropping a leaf of a spanning tree keeps a set
+    connected, so each connected set of x + 1 vertices is one of x plus a
+    vertex v outside it with a neighbour in it (bit A moves to A + 2^v): the
+    layers grow so, on first need.
     """
     n, full, down = g.n, g.full_mask, _down_sets(g.n)
     # grow[v]: the sets without v that hold a neighbour of v; meets[t]: those meeting hit[t]
@@ -206,7 +207,7 @@ def _connected_sets(g: Graph, hit: list[int]):
             cover, rest = 0, a  # the OR of hit[v] over v in a
             while rest:
                 cover, rest = cover | hit[(rest & -rest).bit_length() - 1], rest & rest - 1
-            pairs.append((a, cover))
+            pairs.append((a, down[cover]))
         return pairs
 
     return holding
@@ -220,29 +221,28 @@ class IndexResult(NamedTuple):
 
 
 def _least_excess(
-    n: int, holding, target_sets: list[int], low: int, least: int, ceiling
+    holding, target_sets: list[int], least: int, ceiling
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Both exact indices: for each set of targets in turn, the least total
-    excess e, from low or from the e of the set before, of element-disjoint
-    blocks whose covers hold every target, with the blocks chosen. The index
-    is the element count less e; ``_block_colors`` gives the witness.
+    excess e, from 0 or from the e of the set before, of element-disjoint
+    blocks that between them hold every target, with the blocks chosen. The
+    index is the element count less e; ``_block_colors`` gives the witness.
 
-    Elements are the edges or the vertices of an n-vertex graph. A block is a
-    mask of two or more elements, of excess popcount - 1. The caller supplies
-    the blocks: ``holding(s, x)`` lists those of excess x whose covers hold
-    the vertex set s, as (block, vertex cover) pairs. A target set is a
-    2^n-bit set of vertex sets. For each e, the lowest target left out is
-    branched on over the blocks that hold it, share no element with the
-    chosen ones and fit what is left of e: by ascending excess, then in
-    ``holding`` order. ``holding(s, x)`` is called at most once per (s, x),
-    when the search first reaches excess x at target s, and never for x below
-    ``least``: no block of such an excess holds a target, so a block that
-    leaves less of e than ``least`` must hold every target left. The caller's
-    ``ceiling`` = (top, blocks) is a family of excess top that holds every
-    target of every set: the search never runs at e = top, and answers with
-    those blocks once no family of smaller excess exists.
+    Elements are the edges or the vertices of a graph. A block is a mask of
+    two or more elements, of excess popcount - 1. A target is a vertex set,
+    and a family of vertex sets a 2^n-bit int, bit s for the set s. The caller
+    supplies the blocks: ``holding(s, x)`` lists those of excess x that hold
+    the vertex set s, each with the family it holds. For each e, the lowest
+    target left out is branched on over the blocks that hold it, share no
+    element with the chosen ones and fit what is left of e: by ascending
+    excess, then in ``holding`` order. ``holding(s, x)`` is called at most
+    once per (s, x), when the search first reaches excess x at target s, and
+    never for x below ``least``: no block of such an excess holds a target, so
+    a block that leaves less of e than ``least`` must hold every target left.
+    The caller's ``ceiling`` = (top, blocks) is a family of excess top that
+    holds every target of every set: the search never runs at e = top, and
+    answers with those blocks once no family of smaller excess exists.
     """
-    down = _down_sets(n)
     held: dict[int, list[list[tuple[int, int]]]] = {}  # target -> per excess reached, its pairs
 
     def family(union: int, used: int, budget: int):
@@ -254,10 +254,10 @@ def _least_excess(
         for excess in range(least, budget + 1):
             if excess == len(levels):
                 levels.append(holding(s, excess))
-            for block, cover in levels[excess]:
+            for block, inside in levels[excess]:
                 if block & used:
                     continue
-                below = union | down[cover]
+                below = union | inside
                 if budget - excess < least and targets & ~below:
                     continue
                 found = family(below, used | block, budget - excess)
@@ -266,7 +266,7 @@ def _least_excess(
         return None
 
     out = []
-    e, (top, fallback) = low, ceiling
+    e, (top, fallback) = 0, ceiling
     for targets in target_sets:
         chosen = None
         while e < top and (chosen := family(0, 0, e)) is None:

@@ -226,14 +226,14 @@ def diameter(g: Graph) -> int:
     """Largest shortest-path distance over all vertex pairs."""
     if g.n > MAX_WALK_VERTICES:
         raise BudgetError(f"walks from {g.n} vertices exceed the budget of {MAX_WALK_VERTICES}")
-    if not is_connected(g):
-        raise ValueError("diameter is only defined for connected graphs")
     best = 0
     for s in range(g.n):
         seen = frontier = 1 << s
         dist = 0
         while frontier := closed_neighborhood(g, frontier) & ~seen:
             seen, dist = seen | frontier, dist + 1
+        if seen != g.full_mask:
+            raise ValueError("diameter is only defined for connected graphs")
         best = max(best, dist)
     return best
 

@@ -17,7 +17,7 @@ classes only: the blocks are the connected sets A of two or more vertices,
 each covering N[A]. A lone vertex v holds the subsets of N[v], and so does
 any block holding v, so those k-sets need no block at all. A block A holds
 a target s iff A meets N[t] for every t in s: ``coloring._connected_sets``
-lists them, each with N[A].
+lists them, each with the vertex sets inside N[A].
 
 Two numbers settle most k without the search. tau is the least size of a
 vertex set in no N[v] (none if some N[v] = V, and then mvx_k = n at every
@@ -196,9 +196,9 @@ def _excess_profile(g: Graph, first: int) -> list[tuple[int, tuple[int, ...]]]:
     MAX_KERNEL_VERTICES vertices: mvx_k = n - e, each block one color (module
     docstring). tau is the first k with a target, and gamma_c - 1 the least
     x with a block of excess x holding V, the first of which is the core.
-    Blocks come with their covers N[A]. The search starts at e = diam - 2
-    (``graphs.diameter``), as mvx_k <= n - diam + 2, and each k at the e of
-    k - 1, as validity only shrinks as k grows.
+    Blocks come with the vertex sets inside their covers N[A]. The search
+    starts at e = 0 and each k at the e of k - 1, as validity only shrinks as
+    k grows; the levels below diam - 2 hold no family, and fail cheaply.
     """
     n, full, down = g.n, g.full_mask, _down_sets(g.n)
     hit = [g.adj[v] | 1 << v for v in range(n)]
@@ -212,8 +212,7 @@ def _excess_profile(g: Graph, first: int) -> list[tuple[int, tuple[int, ...]]]:
         top += 1
     ceiling = (top, (cores[0][0],))
     lo, hi = max(first, tau), min(max(3, tau + top - 1), n + 1)
-    found = [] if lo >= hi else _least_excess(
-        n, holding, target_sets[lo - 2 : hi - 2], max(diameter(g) - 2, 0), 1, ceiling)
+    found = [] if lo >= hi else _least_excess(holding, target_sets[lo - 2 : hi - 2], 1, ceiling)
     return [(0, ())] * (lo - first) + found + [ceiling] * (n + 1 - max(lo, hi))
 
 

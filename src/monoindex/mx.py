@@ -21,7 +21,7 @@ that matter are trees spanning connected sets A of three or more vertices,
 excess |A| - 2, covering A. Sets pairwise sharing at most one vertex have
 edge-disjoint spanning trees, as a shared edge is two shared vertices, so
 the BFS tree of each A in place of its class keeps an optimal family in the
-search space. The kernel gets each tree with A as its cover. Every family
+search space. The kernel gets each tree with the subsets of A. Every family
 the search returns is a valid coloring, so the search cannot beat the
 optimum either. A tree that holds a target has max(k, 3) vertices or more,
 so no block of excess below max(k, 3) - 2 is asked for. The BFS spanning
@@ -110,7 +110,7 @@ def mx_exact_bruteforce(g: Graph, k: int) -> IndexResult:
     valid at k and a coloring that uses it. The value is m - e, with e the
     least total excess of edge-disjoint trees, one per connected vertex set,
     that hold every target (module docstring), from ``coloring._least_excess``,
-    each handed over with its vertex set as its cover. The search is exact,
+    each handed over with the subsets of its vertex set. The search is exact,
     not brute force; the name stays for the API and perfbench's tracer.
     Refuses more than MAX_KERNEL_VERTICES vertices at the down-set table,
     before anything of size m is built.
@@ -123,6 +123,6 @@ def mx_exact_bruteforce(g: Graph, k: int) -> IndexResult:
         return sum(map(edge_bit.get, bfs_tree(g, (a & -a).bit_length() - 1, a)))
 
     [(e, chosen)] = _least_excess(
-        g.n, lambda s, x: [(tree(a), a) for a, _ in sets(s, x + 1)], [_target_bits(g, k)], 0,
+        lambda s, x: [(tree(a), inside) for a, inside in sets(s, x + 1)], [_target_bits(g, k)],
         max(k, 3) - 2, (g.n - 2, (tree(g.full_mask),)))
     return IndexResult(g.m - e, EdgeColoring(g, _block_colors(g.m, chosen)))

@@ -9,8 +9,8 @@ grades the sum against two families of bounds:
   upper: 2n - 2, claimed only for k >= ceil(n/2) and n >= 5. For smaller k
          the sum is recorded as an observation, never graded.
 
-Each record is one CSV row, its fields the columns in order. Rows are sorted
-by (n, g6, k), so outputs are reproducible byte for byte.
+Each record is one CSV row, its fields the columns in order. Rows are built
+in (n, g6, k) order, so outputs are reproducible byte for byte.
 """
 
 from __future__ import annotations

@@ -13,14 +13,15 @@ against:
   both indices replaced;
 - ``least_excess_eager``, that block search as it first built its block
   lists (every target's, for every excess up to e, whether the search
-  reaches them or not), called by ``mvx_profile_by_mask_scan``, the table
-  side of the vertex index before its blocks were grown as bit-parallel
-  families and before tau and gamma_c answered most k (it searches every
-  k, up to one block of every vertex), and by ``mx_by_eager_kernel``, the
-  edge index over every subtree of two or more edges (``_subtrees``, up to
-  its own limit of ``MAX_SUBTREES``), as the library searched it before it
-  took one tree per connected vertex set; ``block_colors`` colors the
-  blocks either one returns;
+  reaches them or not) and from a first e the caller names, called by
+  ``mvx_profile_by_mask_scan`` (from diam - 2), the table side of the
+  vertex index before its blocks were grown as bit-parallel families and
+  before tau and gamma_c answered most k (it searches every k, up to one
+  block of every vertex), and by ``mx_by_eager_kernel``, the edge index
+  over every subtree of two or more edges (``_subtrees``, up to its own
+  limit of ``MAX_SUBTREES``), as the library searched it before it took
+  one tree per connected vertex set; ``block_colors`` colors the blocks
+  either one returns;
 - ``parse_graph6_by_bit_list``, the graph6 decoder as it was before it
   folded the data bytes into one int: a list of bits, read by index;
 - ``diameter_by_closure``, the diameter as it was before it walked only
@@ -323,15 +324,14 @@ def diameter_by_closure(g) -> int:
 
 
 def least_excess_eager(
-    n: int, holding, target_sets: list[int], low: int, least: int, ceiling
+    holding, target_sets: list[int], low: int, least: int, ceiling
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """``coloring._least_excess`` with eager block lists: a target's first
-    visit asks ``holding`` for every excess from 0 up to the current e, and
-    each rise of e below the ceiling asks it once more for every target seen
-    so far. The search, its branching order, its ceiling and the blocks it
-    returns are those of the library's kernel; only the calls to ``holding``
-    differ."""
-    down = _down_sets(n)
+    """``coloring._least_excess`` with eager block lists, from e = low: a
+    target's first visit asks ``holding`` for every excess from 0 up to the
+    current e, and each rise of e below the ceiling asks it once more for
+    every target seen so far. The search, its branching order, its ceiling
+    and the blocks it returns are those of the library's kernel; only the
+    calls to ``holding`` and the first e differ."""
     held: dict[int, list[list[tuple[int, int]]]] = {}  # target -> per excess up to e, its pairs
 
     def family(union: int, used: int, budget: int):
@@ -342,10 +342,10 @@ def least_excess_eager(
         if s not in held:
             held[s] = [holding(s, x) for x in range(e + 1)]
         for excess, level in enumerate(held[s][: budget + 1]):
-            for block, cover in level:
+            for block, inside in level:
                 if block & used:
                     continue
-                below = union | down[cover]
+                below = union | inside
                 if budget - excess < least and targets & ~below:
                     continue
                 found = family(below, used | block, budget - excess)
@@ -412,8 +412,9 @@ def mx_by_eager_kernel(g, k: int) -> tuple[int, tuple[int, ...]]:
     for tree in trees:
         levels[tree.bit_count() - 1].append(tree)
     every_edge = (1 << g.m) - 1  # one color on every edge, of excess m - 1, holds every k-set
+    down = _down_sets(g.n)
     [(e, blocks)] = least_excess_eager(
-        g.n, lambda s, x: [(t, trees[t]) for t in levels[x] if trees[t] & s == s],
+        lambda s, x: [(t, down[trees[t]]) for t in levels[x] if trees[t] & s == s],
         [_target_bits(g, k)], 0, max(k, 3) - 2, (g.m - 1, (every_edge,)),
     )
     return g.m - e, block_colors(g.m, blocks)
@@ -447,8 +448,7 @@ def mvx_profile_by_mask_scan(g) -> tuple[tuple[int, tuple[int, ...]], ...]:
         levels[b.bit_count() - 1].append(b)
     target_sets = [sum(1 << s for s in coverage_targets(g, k)) & ~base for k in range(2, n + 1)]
     found = least_excess_eager(
-        n,
-        lambda s, x: [(b, blocks[b]) for b in levels[x] if blocks[b] & s == s],
+        lambda s, x: [(b, down[blocks[b]]) for b in levels[x] if blocks[b] & s == s],
         target_sets,
         max(diameter_by_closure(g) - 2, 0),
         1,

@@ -227,9 +227,11 @@ class TestConnectedSets:
         # every connected graph with n <= 6, closed rows and singletons: for
         # each target set of at most two vertices and V, and each x < n, the
         # connected sets of x + 1 vertices meeting hit[t] for every t in the
-        # target set, in mask order, each with the OR of hit over it as cover
+        # target set, in mask order, each with the family of the vertex sets
+        # inside its cover, the OR of hit over it
         calls = 0
         for n in range(1, 7):
+            down = [sum(1 << t for t in range(1 << n) if t & c == t) for c in range(1 << n)]
             for g in enumerate_connected_graphs(n):
                 connected = [a for a in range(1, 1 << n) if connected_components(g, a) == [a]]
                 closed = [g.adj[v] | 1 << v for v in range(n)]
@@ -243,9 +245,9 @@ class TestConnectedSets:
                             assert [a for a, _ in pairs] == [
                                 a for a in connected if a.bit_count() == x + 1
                                 and all(a & hit[t] for t in iter_bits(s))], (g.edges, s, x)
-                            for a, cover in pairs:
-                                assert cover == mask_from(w for v in iter_bits(a)
-                                                          for w in iter_bits(hit[v]))
+                            for a, inside in pairs:
+                                cover = mask_from(w for v in iter_bits(a) for w in iter_bits(hit[v]))
+                                assert inside == down[cover]
                                 assert hit is not closed or cover == closed_neighborhood(g, a)
                             calls += 1
         assert calls == 2 * sum(

@@ -9,6 +9,7 @@ from monoindex import mvx
 from monoindex.coloring import (
     MAX_KERNEL_VERTICES,
     VertexColoring,
+    _down_sets,
     verify_mvx_coloring,
     verify_mx_coloring,
 )
@@ -21,6 +22,7 @@ from monoindex.graphs import (
     connected_components,
     cut_vertices,
     cycle_graph,
+    diameter,
     edge_forest,
     enumerate_connected_graphs,
     enumerate_graphs,
@@ -370,24 +372,27 @@ class TestExactSearch:
         # once, never at excess 0 nor at the core's excess gamma_c - 1, and
         # only for what the eager kernel asked for too, with the same result:
         # over every connected graph with n <= 7 it asks for fewer; each
-        # block it is handed carries its cover N[A]
+        # block it is handed carries the vertex sets inside N[A]. No family
+        # has excess below diam - 2 (mvx_k <= n - diam + 2), so the eager
+        # kernel started there returns the same too
         kernel, totals = mvx._least_excess, [0, 0]
 
-        def spy(n, holding, targets, low, least, ceiling):
-            lazy, eager = [], []
+        def spy(holding, targets, least, ceiling):
+            lazy, eager, down = [], [], _down_sets(g.n)
 
             def logged(log):
                 def listed(s, x):
                     log.append((s, x))
                     pairs = holding(s, x)
-                    assert all(cover == closed_neighborhood(g, a) for a, cover in pairs)
+                    assert all(inside == down[closed_neighborhood(g, a)] for a, inside in pairs)
                     return pairs
 
                 return listed
 
-            found = kernel(n, logged(lazy), targets, low, least, ceiling)
+            found = kernel(logged(lazy), targets, least, ceiling)
+            assert found == oracles.least_excess_eager(logged(eager), targets, 0, least, ceiling)
             assert found == oracles.least_excess_eager(
-                n, logged(eager), targets, low, least, ceiling)
+                holding, targets, max(diameter(g) - 2, 0), least, ceiling)
             assert len(lazy) == len(set(lazy)) and set(lazy) <= set(eager)
             assert least == 1 and all(least <= x < ceiling[0] for _, x in lazy)
             totals[0] += len(lazy)

@@ -290,29 +290,28 @@ class TestAgainstPartitionSearch:
         # the kernel asks for the trees of excess x holding target s at most
         # once, never below the least excess of a tree holding a k-set nor at
         # the spanning tree's n - 2, and only for what the eager kernel asked
-        # for too, with the same result; each tree it is handed carries as
-        # its cover the vertices its edges span
+        # for too, with the same result; each tree it is handed carries the
+        # vertex sets inside the vertices its edges span
         kernel, totals = mx._least_excess, [0, 0]
 
-        def spy(n, holding, targets, low, least, ceiling):
-            lazy, eager = [], []
+        def spy(holding, targets, least, ceiling):
+            lazy, eager, down = [], [], coloring._down_sets(g.n)
 
             def logged(log):
                 def listed(s, x):
                     log.append((s, x))
                     pairs = holding(s, x)
-                    for tree, cover in pairs:
+                    for tree, inside in pairs:
                         edges = [e for i, e in enumerate(g.edges) if tree >> i & 1]
-                        assert cover == mask_from(v for e in edges for v in e)
+                        assert inside == down[mask_from(v for e in edges for v in e)]
                     return pairs
 
                 return listed
 
-            found = kernel(n, logged(lazy), targets, low, least, ceiling)
-            assert found == oracles.least_excess_eager(
-                n, logged(eager), targets, low, least, ceiling)
+            found = kernel(logged(lazy), targets, least, ceiling)
+            assert found == oracles.least_excess_eager(logged(eager), targets, 0, least, ceiling)
             assert len(lazy) == len(set(lazy)) and set(lazy) <= set(eager)
-            assert ceiling[0] == n - 2 and all(least <= x < n - 2 for _, x in lazy)
+            assert ceiling[0] == g.n - 2 and all(least <= x < g.n - 2 for _, x in lazy)
             totals[0] += len(lazy)
             totals[1] += len(eager)
             return found
